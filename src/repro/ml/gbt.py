@@ -103,9 +103,10 @@ class GradientBoostedTrees:
             prob = sigmoid(margin)
             grad = prob - y
             hess = np.maximum(prob * (1.0 - prob), 1e-16)
-            tree = RegressionTree(tree_params).fit(X, grad, hess)
+            tree = RegressionTree(tree_params)
+            leaves = tree.fit_predict(X, grad, hess)
             self.trees.append(tree)
-            margin = margin + self.params.learning_rate * tree.predict(X)
+            margin = margin + self.params.learning_rate * leaves
         return self
 
     @property
@@ -125,6 +126,16 @@ class GradientBoostedTrees:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(1, -1)
+        if len(X) == 1:
+            # One row (warm-up evaluations, policy scoring): plain float
+            # arithmetic in tree order gives the batch path's exact bits
+            # without numpy's per-call overhead at every tree level.
+            row = X[0].tolist()
+            lr = self.params.learning_rate
+            margin_one = self.base_margin
+            for tree in self.trees:
+                margin_one += lr * tree.predict_row(row)
+            return np.array([margin_one])
         margin = np.full(len(X), self.base_margin)
         for tree in self.trees:
             margin += self.params.learning_rate * tree.predict(X)
