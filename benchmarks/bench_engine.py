@@ -235,11 +235,11 @@ def headline_ratio(rows) -> dict:
 
 
 #: Simulated metrics that must be byte-identical between the engines.
-#: Queue-depth diagnostics (max_heap_size, heap_compactions) are
-#: excluded: pump batching legitimately deepens the heap in fast mode.
 EQUIVALENCE_KEYS = (
     "events_processed",
     "events_cancelled",
+    "max_heap_size",
+    "heap_compactions",
     "jobs_finished",
     "hit_ratio",
     "byte_hit_ratio",

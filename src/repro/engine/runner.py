@@ -53,7 +53,7 @@ from repro.workload.jobs import (
     TraceJob,
     event_time,
 )
-from repro.workload.streams import WorkloadStream
+from repro.workload.streams import TraceStream, WorkloadStream
 
 PLACEMENT_NAMES = ("hdfs", "hdfs-cache", "octopus", "single-hdd")
 
@@ -106,9 +106,8 @@ class SystemConfig:
     #: Simulation core selection: "reference" (default) runs the classic
     #: object-per-event loop, kept bit-identical for reproduction;
     #: "fast" swaps in the slab-allocated core (repro.sim.fastsim) and
-    #: enables the batched fast paths (lower vectorized-solver
-    #: threshold, coarsened proactive ticks, pump batching).  Fast mode
-    #: is validated to produce identical simulated metrics — see
+    #: coarsens provably idle proactive ticks.  Fast mode is validated
+    #: to produce identical simulated metrics — see
     #: docs/benchmarks.md ("Engine modes").
     engine_mode: str = "reference"
 
@@ -149,16 +148,9 @@ class SystemConfig:
             )
         conf.setdefault("engine.mode", self.engine_mode)
         if conf["engine.mode"] == "fast":
-            # Fast-mode defaults (each individually overridable): skip
-            # provably idle proactive ticks and pump non-live streams in
-            # batches.  The vector threshold is pinned (rather than
-            # lowered) because measurement shows the scalar dirty-set
-            # solver beats from-scratch numpy solves for mid-size
-            # components: at 10x FB scale, threshold 32 tripled the
-            # vector solves and was ~7% slower end to end.
-            conf.setdefault("io.vector_threshold", 128)
+            # Fast-mode default (overridable): skip provably idle
+            # proactive ticks.
             conf.setdefault("manager.coarse_ticks", True)
-            conf.setdefault("pump.batch", 32)
         return conf
 
 
@@ -179,8 +171,7 @@ class RunResult:
     #: durations serialize as JSON ``null``, not a non-standard
     #: ``Infinity`` token (see docs/benchmarks.md).
     duration: Optional[float] = None
-    #: Jobs submitted during replay (streamed workloads have no job list
-    #: to ``len()``, so the runner counts submissions as they happen).
+    #: Jobs submitted during replay, counted as the pump applies them.
     jobs_submitted: int = 0
     #: File deletions applied (dataset-lifecycle scenarios only).
     deletions_applied: int = 0
@@ -198,7 +189,7 @@ class RunResult:
     transfer_realized_seconds: float = 0.0
     downgrade_model_accuracy: list = field(default_factory=list)
     upgrade_model_accuracy: list = field(default_factory=list)
-    #: Back-pressure observability (streamed workloads).  Pump lead is
+    #: Back-pressure observability of the workload pump.  Pump lead is
     #: how far ahead of the simulation clock the next workload event was
     #: when the pump scheduled it (simulation seconds): large leads mean
     #: the generator is comfortably ahead, near-zero leads mean the
@@ -250,11 +241,10 @@ class WorkloadRunner:
     :class:`WorkloadStream` (scenario, external file, or adapter), or
     ``None`` to build the stream named by ``config.scenario``.
 
-    Traces replay through the classic eager path (every event scheduled
-    up front — kept for bit-identical reproduction of the paper runs);
-    streams replay through a pump that holds **one** upcoming workload
-    event at a time, so memory tracks the live simulation state rather
-    than the workload length.
+    A :class:`Trace` is wrapped in a :class:`TraceStream`, so every
+    workload replays through the same pump: it holds **one** upcoming
+    workload event at a time, so memory tracks the live simulation
+    state rather than the workload length.
     """
 
     def __init__(
@@ -264,23 +254,18 @@ class WorkloadRunner:
     ) -> None:
         if workload is None:
             workload = config.build_scenario()
-        self.workload = workload
-        #: Set only for materialized traces (legacy attribute).
-        self.trace: Optional[Trace] = (
-            workload if isinstance(workload, Trace) else None
-        )
-        self.stream: Optional[WorkloadStream] = (
-            workload if isinstance(workload, WorkloadStream) else None
-        )
-        if self.trace is None and self.stream is None:
+        elif isinstance(workload, Trace):
+            workload = TraceStream(workload)
+        elif not isinstance(workload, WorkloadStream):
             raise TypeError(
                 f"workload must be a Trace or WorkloadStream, "
                 f"not {type(workload).__name__}"
             )
+        self.stream: WorkloadStream = workload
         self.duration = workload.duration
         self.jobs_submitted = 0
         self.deletions_applied = 0
-        #: Pump instrumentation (streamed workloads; see RunResult).
+        #: Pump instrumentation (see RunResult).
         self.pump_events = 0
         self.pump_lead_total = 0.0
         self.pump_lead_max = 0.0
@@ -295,12 +280,6 @@ class WorkloadRunner:
             self.sim: Simulator = FastSimulator()
         else:
             self.sim = Simulator()
-        batch = self.conf.get_int("pump.batch", 1)
-        if self.stream is not None and getattr(self.stream, "live_stats", None) is not None:
-            # A live transport blocks in next(): batching would stall
-            # the simulation until a whole batch arrived.
-            batch = 1
-        self._pump_batch = max(1, batch)
         self.hierarchy = get_hierarchy(config.tiers)
         overrides = (
             {"MEMORY": config.memory_per_node} if "MEMORY" in self.hierarchy else {}
@@ -370,96 +349,47 @@ class WorkloadRunner:
             self.timeseries = TimeseriesRecorder(self, sample)
 
     # -- replay --------------------------------------------------------------
-    def _schedule_events(self) -> None:
-        if self.trace is not None:
-            for creation in self.trace.creations:
-                self.sim.at(
-                    max(creation.time, 0.0),
-                    self._make_creator(creation),
-                    name=f"create-{creation.path}",
-                )
-            for job in self.trace.jobs:
-                self.sim.at(
-                    job.submit_time,
-                    self._make_submitter(job),
-                    name=f"job-{job.job_id}",
-                )
-            self.jobs_submitted = len(self.trace.jobs)
-        else:
-            self._pump(self.stream.events())
-
     def _pump(self, events: Iterator[StreamEvent]) -> None:
-        """Schedule the next stream event(s); reschedule on firing.
+        """Schedule the next stream event; it re-enters the pump when fired.
 
-        The pump holds at most ``pump.batch`` upcoming workload events
-        in the heap (default 1: exactly one, the classic lockstep pump;
-        fast mode raises it for non-live streams).  When the last
-        scheduled event fires, the next batch is pulled from the
-        iterator — the stream is consumed in step with simulation time,
-        never materialized.  For live sources the ``next()`` call blocks
-        on the transport, so batching stays disabled there and
-        simulation progress naturally throttles to event arrival.
+        The pump holds exactly one upcoming workload event in the heap.
+        When it fires, the next one is pulled from the iterator, so the
+        workload is consumed in step with simulation time and never
+        materialized.  For live sources the ``next()`` call blocks on
+        the transport, so simulation progress naturally throttles to
+        event arrival.
 
-        Batching is observation-equivalent to the one-event pump: each
-        event's fire time is the running maximum ``max(t, previous fire
-        time)`` — exactly what chained ``max(t, now)`` clamping yields —
-        and the lead/late accounting uses the same reference point.
+        Every workload event is scheduled at ``priority=-1``: it wins
+        every same-time tie against system events (timers, transfer and
+        task completions), whichever was scheduled first.
         """
         event = next(events, None)
         if event is None:
             self._stream_exhausted = True
             return
-        last = self.sim.now()
-        remaining = self._pump_batch
-        sim_at = self.sim.at
-        while True:
-            t = max(event_time(event), 0.0)
-            lead = t - last
-            self.pump_events += 1
-            if lead < 0:
-                # The event's timestamp is behind the simulation clock
-                # (a live producer falling behind, or a clamped late
-                # event): it fires immediately, at "now".
-                self.pump_late_events += 1
-            else:
-                self.pump_lead_total += lead
-                if lead > self.pump_lead_max:
-                    self.pump_lead_max = lead
-            fire_at = t if t > last else last
-            # priority=-1: a pumped trace event must win same-time ties
-            # against system events, exactly as pre-scheduled trace
-            # events do through their lower sequence numbers.
-            remaining -= 1
-            if remaining <= 0:
-                # Last event of the batch re-enters the pump when fired.
-                sim_at(
-                    fire_at,
-                    partial(self._fire_and_pump, event, events),
-                    name="stream-pump",
-                    priority=-1,
-                )
-                return
-            nxt = next(events, None)
-            if nxt is None:
-                self._stream_exhausted = True
-                sim_at(
-                    fire_at,
-                    partial(self._apply_event, event),
-                    name="stream-pump",
-                    priority=-1,
-                )
-                return
-            sim_at(
-                fire_at,
-                partial(self._apply_event, event),
-                name="stream-pump",
-                priority=-1,
-            )
-            last = fire_at
-            event = nxt
+        now = self.sim.now()
+        t = max(event_time(event), 0.0)
+        lead = t - now
+        self.pump_events += 1
+        if lead < 0:
+            # The event's timestamp is behind the simulation clock (a
+            # live producer falling behind): it fires immediately, at
+            # "now".
+            self.pump_late_events += 1
+            t = now
+        else:
+            self.pump_lead_total += lead
+            if lead > self.pump_lead_max:
+                self.pump_lead_max = lead
+        self.sim.at(
+            t,
+            partial(self._fire_and_pump, event, events),
+            name="stream-pump",
+            priority=-1,
+        )
 
     def _fire_and_pump(self, event: StreamEvent, events: Iterator[StreamEvent]) -> None:
-        """Apply the batch's last event, then schedule the next batch."""
+        """Apply one workload event, then schedule the next."""
         self._apply_event(event)
         self._pump(events)
 
@@ -476,25 +406,13 @@ class WorkloadRunner:
         else:  # pragma: no cover - the stream protocol is closed
             raise TypeError(f"unknown stream event {event!r}")
 
-    def _make_creator(self, creation: FileCreation):
-        def create() -> None:
-            self.client.create(creation.path, creation.size)
-
-        return create
-
-    def _make_submitter(self, job: TraceJob):
-        def submit() -> None:
-            self.scheduler.submit(job)
-
-        return submit
-
     def run(self, drain_limit: float = 4 * 3600.0) -> RunResult:
         """Replay the full workload and drain remaining work.
 
         ``drain_limit`` bounds how long past the trace end the simulation
         may run while jobs and transfers finish.
         """
-        self._schedule_events()
+        self._pump(self.stream.events())
         end = self.duration
         if math.isinf(end):
             # Live stream without a header duration: there is no nominal

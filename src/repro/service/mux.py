@@ -24,9 +24,9 @@ merged clock at its bound until it sends or disconnects.  Pacing
 (``--pace``) keeps producers flowing; drain force-closes stragglers.
 
 The mux exposes a ``live_stats`` attribute, so the runner treats it
-exactly like a :class:`~repro.workload.live.LiveStream`: pump batching
-stays disabled (``next()`` blocks on tenant arrival) and transport
-counters appear in :class:`~repro.engine.runner.RunResult`.
+exactly like a :class:`~repro.workload.live.LiveStream`: the pump's
+``next()`` blocks on tenant arrival and transport counters appear in
+:class:`~repro.engine.runner.RunResult`.
 """
 
 from __future__ import annotations
@@ -96,9 +96,8 @@ class TenantMux(WorkloadStream):
         #: read at admission to fix each tenant's offset.
         self.clock = clock
         self.buffer_limit = int(buffer_limit)
-        #: Transport counters in the LiveStream shape, so the runner's
-        #: live-path handling (no pump batching, stats in RunResult)
-        #: applies unchanged.
+        #: Transport counters in the LiveStream shape, so the runner
+        #: reports them in RunResult unchanged.
         self.live_stats = LiveStats()
         self._cond = threading.Condition()
         self._sessions: List[_Session] = []

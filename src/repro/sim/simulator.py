@@ -33,12 +33,10 @@ class Event:
     """A scheduled callback.  Heap ordering is by (time, priority, seq).
 
     ``priority`` defaults to 0 everywhere, in which case ordering
-    reduces to the classic (time, seq) FIFO — bit-identical to the
-    pre-priority behaviour.  The streaming workload pump schedules trace
-    events at priority -1 so they win same-timestamp ties against
-    system events exactly as eagerly pre-scheduled trace events do (pre-
-    scheduling gives them the lowest sequence numbers; a lazily pumped
-    event needs the explicit priority to claim the same slot).
+    reduces to the classic (time, seq) FIFO.  The workload pump
+    schedules every workload event at priority -1, so workload events
+    win every same-timestamp tie against system events (timers, task
+    and transfer completions), however early those were scheduled.
     """
 
     __slots__ = ("time", "seq", "callback", "name", "cancelled", "priority", "_sim")

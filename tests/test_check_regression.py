@@ -103,3 +103,33 @@ class TestGateEndToEnd:
         assert (
             gate.main([str(clean), "--baseline-dir", str(baseline_dir)]) == 1
         )
+
+
+class TestCommittedBaselines:
+    """The committed CI baselines cover what the CI smoke runs produce,
+    so the gate compares values instead of failing on absent rows."""
+
+    @staticmethod
+    def _baseline(name):
+        path = REPO_ROOT / "benchmarks" / "baselines" / name
+        return json.loads(path.read_text())
+
+    def test_every_scenario_has_a_row_per_io_model(self):
+        from repro.workload.scenarios import scenario_names
+
+        rows = {
+            (run["scenario"], run["io_model"])
+            for run in self._baseline("BENCH_scenarios_ci.json")["runs"]
+        }
+        expected = {
+            (name, io_model)
+            for name in scenario_names()
+            for io_model in ("snapshot", "fairshare")
+        }
+        assert expected <= rows
+
+    def test_sweep_baseline_matches_the_smoke_spec(self):
+        from repro.sweep import builtin_specs
+
+        baseline = self._baseline("BENCH_sweep_ci.json")
+        assert baseline["spec_id"] == builtin_specs()["smoke"].spec_id

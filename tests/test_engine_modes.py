@@ -1,8 +1,8 @@
 """Fast engine mode must reproduce the reference results exactly.
 
 The fast engine (``SystemConfig(engine_mode="fast")``) changes event
-storage, pump batching, tick skipping, and solver routing — none of
-which may alter a single simulated metric.  These tests run every
+storage, tick skipping, and LRU candidate selection — none of which may
+alter a single simulated metric.  These tests run every
 registered scenario under both engines and both I/O models and require
 identical outcomes, plus targeted checks for the conf routing and the
 simulator-core equivalence under randomized schedules.
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.flows import FairShareEngine
 from repro.engine.runner import SystemConfig, WorkloadRunner
 from repro.sim.fastsim import FastSimulator
 from repro.sim.simulator import Simulator
@@ -40,13 +41,11 @@ def _fingerprint(scenario: str, io_model: str, engine: str):
     runner = WorkloadRunner(stream, config)
     result = runner.run()
     sim = runner.sim
-    # Queue-depth diagnostics (max_heap_size, heap_compactions) are
-    # intentionally absent: pump batching queues up to a batch of stream
-    # events at once, so heap depth differs between engines even though
-    # every simulated outcome matches.
     return {
         "events_processed": sim.events_processed,
         "events_cancelled": sim.events_cancelled,
+        "max_heap_size": sim.max_heap_size,
+        "heap_compactions": sim.heap_compactions,
         "jobs_finished": result.jobs_finished,
         "jobs_submitted": result.jobs_submitted,
         "deletions_applied": result.deletions_applied,
@@ -78,42 +77,29 @@ class TestScenarioEquivalence:
 
 class TestConfRouting:
     def test_fast_mode_defaults(self):
-        conf = SystemConfig(engine_mode="fast").effective_conf()
+        config = SystemConfig(engine_mode="fast", io_model="fairshare")
+        conf = config.effective_conf()
         assert conf["engine.mode"] == "fast"
-        assert conf["io.vector_threshold"] == 128
         assert conf["manager.coarse_ticks"] is True
-        assert conf["pump.batch"] == 32
+        stream = build_scenario("fb", seed=1, scale=0.05)
+        engine = WorkloadRunner(stream, config).iomodel.engine
+        assert engine.vector_threshold == FairShareEngine.vector_threshold == 128
 
     def test_fast_mode_defaults_overridable(self):
         conf = SystemConfig(
             engine_mode="fast",
-            conf={"io.vector_threshold": 16, "pump.batch": 1},
+            conf={"manager.coarse_ticks": False},
         ).effective_conf()
-        assert conf["io.vector_threshold"] == 16
-        assert conf["pump.batch"] == 1
+        assert conf["manager.coarse_ticks"] is False
 
     def test_reference_mode_sets_no_fast_keys(self):
         conf = SystemConfig().effective_conf()
         assert conf["engine.mode"] == "reference"
         assert "manager.coarse_ticks" not in conf
-        assert "pump.batch" not in conf
 
     def test_unknown_engine_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown engine_mode"):
             SystemConfig(engine_mode="turbo").effective_conf()
-
-    def test_live_streams_disable_pump_batching(self):
-        """Batching would block on next() for live sources."""
-        from repro.workload.streams import WorkloadStream
-
-        class FakeLive(WorkloadStream):
-            live_stats = object()
-
-            def events(self):
-                return iter(())
-
-        runner = WorkloadRunner(FakeLive(), SystemConfig(engine_mode="fast"))
-        assert runner._pump_batch == 1
 
     def test_coarse_ticks_skip_only_in_fast_mode(self):
         results = {}

@@ -4,16 +4,20 @@ import json
 
 import pytest
 
-from repro.engine.runner import SystemConfig, WorkloadRunner, run_workload
+from repro.common.units import MB
+from repro.engine.runner import SystemConfig, WorkloadRunner
+from repro.workload.external import ExternalTraceStream
 from repro.workload.jobs import (
     FileCreation,
     FileDeletion,
+    Trace,
     TraceJob,
     event_sort_key,
     event_time,
 )
 from repro.workload.profiles import FB_PROFILE, scaled_profile
 from repro.workload.scenarios import build_scenario
+from repro.workload.serialize import EventWriter
 from repro.workload.streams import (
     StreamOrderError,
     SynthesizedStream,
@@ -168,28 +172,132 @@ def fingerprint(result):
     )
 
 
+#: Pinned replay outcome of ``small_fb_trace(seed)`` under LRU-OSA on 5
+#: workers, keyed by (seed, io_model): ``repr`` of the hit ratio, byte
+#: hit ratio and task seconds, then events processed and transfers
+#: committed.
+PINNED_REPLAY = {
+    (42, "snapshot"): (
+        "0.5578231292517006", "0.5735869495897566", "1590.0740997616372", 1019, 39,
+    ),
+    (42, "fairshare"): (
+        "0.5487528344671202", "0.5575277353541964", "1595.0719820468016", 1992, 39,
+    ),
+    (7, "snapshot"): (
+        "0.5420289855072464", "0.5428813519536065", "1013.5128508485786", 882, 0,
+    ),
+    (7, "fairshare"): (
+        "0.5362318840579711", "0.5316947083362726", "1024.3183816395726", 1630, 0,
+    ),
+}
+
+
 class TestStreamingReplayEquivalence:
-    """Streamed replay must be bit-identical to materialized replay."""
+    """A trace replays to pinned results, materialized or streamed."""
 
     @pytest.mark.parametrize("io_model", ["snapshot", "fairshare"])
     @pytest.mark.parametrize("seed", [42, 7])
     def test_fb_replay_bit_identical(self, io_model, seed):
         trace = small_fb_trace(seed=seed)
-
-        def config():
-            return SystemConfig(
-                label="LRU-OSA",
-                placement="octopus",
-                downgrade="lru",
-                upgrade="osa",
-                workers=5,
-                io_model=io_model,
+        for workload in (trace, TraceStream(trace)):
+            runner = WorkloadRunner(
+                workload,
+                SystemConfig(
+                    label="LRU-OSA",
+                    placement="octopus",
+                    downgrade="lru",
+                    upgrade="osa",
+                    workers=5,
+                    io_model=io_model,
+                ),
             )
+            result = runner.run()
+            metrics = result.metrics
+            assert (
+                repr(metrics.hit_ratio()),
+                repr(metrics.byte_hit_ratio()),
+                repr(metrics.total_task_seconds()),
+                runner.sim.events_processed,
+                result.transfers_committed,
+            ) == PINNED_REPLAY[seed, io_model]
+            assert result.jobs_submitted == len(trace.jobs)
 
-        materialized = run_workload(trace, config())
-        streamed = run_workload(TraceStream(trace), config())
-        assert fingerprint(materialized) == fingerprint(streamed)
-        assert streamed.jobs_submitted == len(trace.jobs)
+
+class TestTieRule:
+    """Workload events win every same-time tie against system events.
+
+    ``/b`` and a job on ``/a`` are stamped t=60 s, the time of the first
+    proactive tick, which the manager arms while the runner is built.
+    """
+
+    @staticmethod
+    def tie_trace():
+        return Trace(
+            name="tie",
+            duration=120.0,
+            creations=[
+                FileCreation("/a", 64 * MB, 0.0),
+                FileCreation("/b", 64 * MB, 60.0),
+            ],
+            jobs=[job(60.0, job_id=0, paths=("/a",), size=64 * MB)],
+        )
+
+    def workload(self, form, tmp_path):
+        trace = self.tie_trace()
+        if form == "trace":
+            return trace
+        if form == "stream":
+            return TraceStream(trace)
+        path = str(tmp_path / "tie.jsonl")
+        with EventWriter(path, name=trace.name, duration=trace.duration) as writer:
+            for event in trace.events():
+                writer.write(event)
+            writer.write_end()
+        return ExternalTraceStream(path)
+
+    def first_tick(self, workload):
+        """(time, /b exists, jobs submitted) at the first proactive
+        tick, and the run's fingerprint."""
+        runner = WorkloadRunner(
+            workload,
+            SystemConfig(
+                label="tie", placement="octopus", downgrade="lru", upgrade="osa"
+            ),
+        )
+        timer = runner.manager._proactive_timer
+        tick = timer._callback
+        seen = []
+
+        def spy():
+            scheduler = runner.scheduler
+            seen.append(
+                (
+                    runner.sim.now(),
+                    runner.client.exists("/b"),
+                    scheduler.active_jobs + scheduler.jobs_finished,
+                )
+            )
+            tick()
+
+        timer._callback = spy
+        result = runner.run()
+        return seen[0], fingerprint(result)
+
+    @pytest.mark.parametrize("form", ["trace", "stream", "external"])
+    def test_workload_events_run_before_the_tick(self, form, tmp_path):
+        (now, b_exists, submitted), _ = self.first_tick(
+            self.workload(form, tmp_path)
+        )
+        assert now == 60.0
+        assert b_exists
+        assert submitted == 1
+
+    def test_every_form_replays_identically(self, tmp_path):
+        prints = {
+            self.first_tick(self.workload(form, tmp_path))[1]
+            for form in ("trace", "stream", "external")
+        }
+        assert len(prints) == 1
 
 
 class SpyStream(WorkloadStream):

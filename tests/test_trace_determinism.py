@@ -105,8 +105,8 @@ class TestTraceByteDeterminism:
         assert payloads[0].encode() == payloads[1].encode()
 
     def test_engines_agree_on_trace_bytes(self):
-        # The fast engine changes event storage and pump batching but
-        # not decision order, so the decision trace must match too.
+        # The fast engine changes event storage but not decision order,
+        # so the decision trace must match too.
         reference = _run(engine="reference", conf={"obs.trace": True})[0]
         fast = _run(engine="fast", conf={"obs.trace": True})[0]
         assert [trace_line(r) for r in reference.tracer.records] == [
