@@ -73,7 +73,10 @@ class Node:
         #: nodes receive no new replicas and no new tasks.
         self.alive = True
         self.hierarchy: TierHierarchy = tier_specs[0].tier.hierarchy
-        self._devices: Dict[TierSpec, List[StorageDevice]] = {
+        #: Devices per tier, pre-seeded with every tier of the hierarchy
+        #: (empty list = tier not provisioned).  Read-only outside this
+        #: class; placement's scoring loop reads it directly.
+        self.tier_devices: Dict[TierSpec, List[StorageDevice]] = {
             tier: [] for tier in self.hierarchy
         }
         for spec in tier_specs:
@@ -94,35 +97,35 @@ class Node:
                     capacity=capacity,
                     profile=spec.profile,
                 )
-                self._devices[spec.tier].append(device)
+                self.tier_devices[spec.tier].append(device)
 
     # -- device access ------------------------------------------------------
     def devices(self, tier: Optional[TierSpec] = None) -> List[StorageDevice]:
         """All devices, or only those of ``tier``."""
         if tier is not None:
-            return list(self._devices[tier])
-        return [d for tier_devs in self._devices.values() for d in tier_devs]
+            return list(self.tier_devices[tier])
+        return [d for tier_devs in self.tier_devices.values() for d in tier_devs]
 
     def tiers(self) -> List[TierSpec]:
         """Tiers this node actually has devices for, fastest first."""
-        return [t for t in self.hierarchy if self._devices[t]]
+        return [t for t in self.hierarchy if self.tier_devices[t]]
 
     def has_tier(self, tier: TierSpec) -> bool:
         # Plain indexing on purpose: the dict is pre-seeded with every
         # tier of this node's hierarchy, so a KeyError always means a
         # spec from a *different* hierarchy leaked in — raising beats
         # silently reporting an empty tier.
-        return bool(self._devices[tier])
+        return bool(self.tier_devices[tier])
 
     # -- capacity accounting -------------------------------------------------
     def tier_capacity(self, tier: TierSpec) -> int:
-        return sum(d.capacity for d in self._devices[tier])
+        return sum(d.capacity for d in self.tier_devices[tier])
 
     def tier_used(self, tier: TierSpec) -> int:
-        return sum(d.used for d in self._devices[tier])
+        return sum(d.used for d in self.tier_devices[tier])
 
     def tier_free(self, tier: TierSpec) -> int:
-        return sum(d.free for d in self._devices[tier])
+        return sum(d.free for d in self.tier_devices[tier])
 
     def tier_utilization(self, tier: TierSpec) -> float:
         """Used fraction of the tier; 1.0 for tiers with no capacity."""
@@ -141,7 +144,7 @@ class Node:
         """
         best: Optional[StorageDevice] = None
         best_utilization = 0.0
-        for device in self._devices[tier]:
+        for device in self.tier_devices[tier]:
             if device.capacity - device.used >= num_bytes:
                 utilization = device.used / device.capacity
                 if best is None or utilization < best_utilization:

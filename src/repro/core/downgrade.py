@@ -39,46 +39,23 @@ class LruDowngradePolicy(DowngradePolicy):
 
     def __init__(self, ctx: PolicyContext) -> None:
         super().__init__(ctx)
-        # Fast engine mode sorts the candidates once per round instead of
-        # re-scanning for the minimum on every selection.  Equivalent to
-        # the reference scan because no simulated time passes inside a
-        # round: the LRU keys cannot change and the candidate set can
-        # only shrink (files become busy or leave the tier), which the
-        # pop-time re-validation below accounts for.
-        self._fast = ctx.conf.get_str("engine.mode", "reference") == "fast"
-        self._round_queue: Optional[List[INodeFile]] = None
-
-    def begin_round(self, tier: TierSpec) -> None:
-        if not self._fast:
-            return
-        stats = self.ctx.stats
-        queue = self.ctx.files_on_tier(tier)
-        queue.sort(
-            key=lambda f: (stats.get_or_create(f).last_access_or_creation, f.inode_id),
-            reverse=True,
-        )
-        self._round_queue = queue
+        self._tracked_at = -1  # namespace mutation count at the last track()
 
     def select_file_to_downgrade(self, tier: TierSpec) -> Optional[INodeFile]:
-        if self._fast and self._round_queue is not None:
-            busy = self.ctx.in_flight_files()
-            blocks = self.ctx.master.blocks
-            queue = self._round_queue
-            while queue:
-                file = queue.pop()
-                if file.inode_id in busy:
-                    continue
-                if blocks.file_bytes_on_tier(file, tier) == 0:
-                    continue
-                return file
-            return None
-        candidates = self.ctx.files_on_tier(tier)
-        if not candidates:
-            return None
+        # Walks the registry's recency index from the oldest key: the
+        # first file with bytes on the tier that is not in flight is the
+        # minimum a scan of files_on_tier would find, provided every
+        # namespace file has statistics.  Files the registry never saw
+        # created (it attached later, or no listener feeds it) get the
+        # entry the scan's get_or_create would give them.
         stats = self.ctx.stats
-        return min(
-            candidates,
-            key=lambda f: (stats.get_or_create(f).last_access_or_creation, f.inode_id),
+        master = self.ctx.master
+        mutations = master.fs.mutations
+        if mutations != self._tracked_at:
+            stats.track(master.files_by_id())
+            self._tracked_at = mutations
+        return stats.least_recent(
+            master.blocks.tier_file_bytes(tier), self.ctx.in_flight_files()
         )
 
 

@@ -179,7 +179,6 @@ class ReplicationManager(FileSystemListener):
                 return 0
             self.downgrade_rounds_entered += 1
             self._temp_excluded.clear()
-            policy.begin_round(tier)
             for _ in range(self.max_downgrades_per_run):
                 file = policy.select_file_to_downgrade(tier)
                 if file is None:

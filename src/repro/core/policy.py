@@ -92,13 +92,6 @@ class DowngradePolicy(Policy):
     def start_downgrade(self, tier: TierSpec) -> bool:
         return self.effective_utilization(tier) > self.start_threshold
 
-    # Called by the manager once per downgrade round, right after the
-    # start condition passed and before the first selection.  Policies
-    # may use it to precompute per-round state (the fast engine mode
-    # sorts the candidate queue here); the default is a no-op.
-    def begin_round(self, tier: TierSpec) -> None:
-        """Hook invoked at the start of each downgrade round."""
-
     # Decision point 2 (Sec 5.2): policy-specific.
     def select_file_to_downgrade(self, tier: TierSpec) -> Optional[INodeFile]:
         raise NotImplementedError

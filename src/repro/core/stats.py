@@ -8,8 +8,9 @@ paper's accounting.  These statistics feed both the rule-based policies
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Container, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.dfs.namespace import INodeFile
 
@@ -91,15 +92,36 @@ class FileStatistics:
 
 
 class StatisticsRegistry:
-    """All per-file statistics, keyed by inode id."""
+    """All per-file statistics, keyed by inode id.
+
+    Besides the statistics themselves the registry keeps the *recency
+    index*: the ``(last_access_or_creation, inode_id)`` key of every
+    tracked file in one sorted list.  The key only changes on create,
+    access and delete, so it is updated exactly there, and the LRU
+    victim is the first indexed file that passes the caller's filters
+    (:meth:`least_recent`) instead of the minimum of a namespace scan.
+    """
 
     def __init__(self, k: int = 12) -> None:
         self.k = k
         self._stats: Dict[int, FileStatistics] = {}
+        self._recency: List[Tuple[float, int]] = []
+
+    def _index(self, stats: FileStatistics) -> None:
+        insort(self._recency, (stats.last_access_or_creation, stats.file.inode_id))
+
+    def _unindex(self, stats: FileStatistics) -> None:
+        key = (stats.last_access_or_creation, stats.file.inode_id)
+        del self._recency[bisect_left(self._recency, key)]
 
     def on_create(self, file: INodeFile) -> FileStatistics:
+        """Start fresh statistics for ``file`` (creation is its recency)."""
+        old = self._stats.get(file.inode_id)
+        if old is not None:
+            self._unindex(old)
         stats = FileStatistics(file, k=self.k)
         self._stats[file.inode_id] = stats
+        self._index(stats)
         return stats
 
     def on_access(
@@ -108,22 +130,41 @@ class StatisticsRegistry:
         timestamp: float,
         tier_level: Optional[int] = None,
     ) -> FileStatistics:
+        """Record one access at ``timestamp``; it becomes the file's recency."""
         stats = self._stats.get(file.inode_id)
         if stats is None:
             # Files created before the registry attached still get tracked.
             stats = self.on_create(file)
+        self._unindex(stats)
         stats.record_access(timestamp, tier_level)
+        self._index(stats)
         return stats
 
     def on_delete(self, file: INodeFile) -> None:
-        self._stats.pop(file.inode_id, None)
+        """Forget ``file``: its statistics and its recency-index entry."""
+        stats = self._stats.pop(file.inode_id, None)
+        if stats is not None:
+            self._unindex(stats)
 
     def get(self, file: INodeFile) -> Optional[FileStatistics]:
         return self._stats.get(file.inode_id)
 
     def get_or_create(self, file: INodeFile) -> FileStatistics:
+        """The statistics of ``file``, registering it if it has none."""
         stats = self._stats.get(file.inode_id)
         return stats if stats is not None else self.on_create(file)
+
+    def track(self, files_by_id: Mapping[int, INodeFile]) -> None:
+        """Register every file of ``files_by_id`` that has no statistics.
+
+        Files created before the registry was fed (or with no listener
+        feeding it) get the entry :meth:`get_or_create` would give them,
+        in inode-id (creation) order.  The membership test runs in C, so
+        a call that finds nothing missing is cheap.
+        """
+        missing = files_by_id.keys() - self._stats.keys()
+        for inode_id in sorted(missing):
+            self.on_create(files_by_id[inode_id])
 
     def all(self) -> List[FileStatistics]:
         return list(self._stats.values())
@@ -144,6 +185,20 @@ class StatisticsRegistry:
                 f.inode_id,
             ),
         )
+
+    def least_recent(
+        self, eligible: Container[int], excluded: Container[int]
+    ) -> Optional[INodeFile]:
+        """The least-recently-used tracked file whose inode id is in
+        ``eligible`` and not in ``excluded``, or None.
+
+        Equal to ``min`` over those files of ``(last_access_or_creation,
+        inode_id)``: the walk visits keys in ascending order.
+        """
+        for _, inode_id in self._recency:
+            if inode_id in eligible and inode_id not in excluded:
+                return self._stats[inode_id].file
+        return None
 
     def mru_order(self, files: Iterable[INodeFile]) -> List[INodeFile]:
         """Sort files most-recently-used first."""

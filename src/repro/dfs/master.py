@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.cluster.hardware import TierHierarchy, TierSpec
 from repro.cluster.topology import ClusterTopology
@@ -137,6 +137,10 @@ class Master:
 
     def get_file_by_id(self, inode_id: int) -> INodeFile:
         return self._files_by_id[inode_id]
+
+    def files_by_id(self) -> Mapping[int, INodeFile]:
+        """inode id -> file for every file in the namespace (live; read-only)."""
+        return self._files_by_id
 
     def mkdirs(self, path: str) -> None:
         self.fs.mkdirs(path, creation_time=self.clock.now())

@@ -136,8 +136,8 @@ class FSDirectory:
         self._next_inode_id = 0
         self.root = INodeDirectory(self._allocate_id(), "", creation_time=0.0)
         #: Bumped on every namespace mutation; lets :meth:`all_files`
-        #: cache the (expensive) sorted tree walk between mutations.
-        self._mutations = 0
+        #: (and other caches of the file set) skip work between mutations.
+        self.mutations = 0
         self._files_cache: Optional[List[INodeFile]] = None
         self._files_cache_at = -1
 
@@ -191,7 +191,7 @@ class FSDirectory:
             if child is None:
                 child = INodeDirectory(self._allocate_id(), part, creation_time)
                 node.add_child(child)
-                self._mutations += 1
+                self.mutations += 1
             node = child
         if not isinstance(node, INodeDirectory):
             raise InvalidPathError(f"{path!r} exists and is a file")
@@ -217,7 +217,7 @@ class FSDirectory:
             replication=replication,
         )
         parent.add_child(inode)
-        self._mutations += 1
+        self.mutations += 1
         return inode
 
     def delete(self, path: str, recursive: bool = False) -> INode:
@@ -231,7 +231,7 @@ class FSDirectory:
         if isinstance(node, INodeDirectory) and node.children and not recursive:
             raise InvalidPathError(f"directory not empty: {path!r}")
         assert node.parent is not None
-        self._mutations += 1
+        self.mutations += 1
         return node.parent.remove_child(node.name)
 
     def rename(self, src: str, dst: str) -> INode:
@@ -250,7 +250,7 @@ class FSDirectory:
         node.parent.remove_child(node.name)
         node.name = basename(dst)
         new_parent.add_child(node)
-        self._mutations += 1
+        self.mutations += 1
         return node
 
     # -- iteration ----------------------------------------------------------------
@@ -281,9 +281,9 @@ class FSDirectory:
         every create/delete/rename bumps.  Callers must not mutate the
         returned list.
         """
-        if self._files_cache is None or self._files_cache_at != self._mutations:
+        if self._files_cache is None or self._files_cache_at != self.mutations:
             self._files_cache = list(self.iter_files())
-            self._files_cache_at = self._mutations
+            self._files_cache_at = self.mutations
         return self._files_cache
 
     def file_count(self) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.cluster.hardware import TierSpec
+from repro.cluster.hardware import StorageDevice, TierSpec
 from repro.cluster.node import Node
 from repro.cluster.topology import ClusterTopology
 from repro.common.config import Configuration
@@ -434,10 +434,15 @@ class OctopusPlacementPolicy(PlacementPolicy):
         prefer_node: Optional[str],
     ) -> Optional[PlacementTarget]:
         # Inlined scoring: per-tier and per-node terms are hoisted out of
-        # the inner loop, but every product and the left-to-right sum
-        # order match _score exactly, so the selected candidate (and the
-        # tie-breaks) are bit-identical to scoring each pair afresh.
-        best: Optional[PlacementTarget] = None
+        # the inner loop, and the device choice of Node.best_device_for
+        # (emptiest fitting device, first one on ties) is made inline
+        # with its ``used / capacity`` kept for the data-balance term.
+        # Every product and the left-to-right sum order match _score
+        # exactly, so the selected candidate (and the tie-breaks) are
+        # bit-identical to scoring each pair afresh.
+        best_node: Optional[str] = None
+        best_tier: Optional[TierSpec] = None
+        best_device: Optional[StorageDevice] = None
         best_score = float("-inf")
         w_data = self.w_data_balance
         w_fault = self.w_fault_tolerance
@@ -460,15 +465,23 @@ class OctopusPlacementPolicy(PlacementPolicy):
                 if prefer_node is not None and node.node_id == prefer_node
                 else 0.0
             )
+            tier_devices = node.tier_devices
             for tier, throughput_term, tier_bonus in tier_terms:
-                if not node.has_tier(tier):
-                    continue
-                device = node.best_device_for(tier, size)
+                device = None
+                utilization = 0.0
+                for candidate in tier_devices[tier]:
+                    used = candidate.used
+                    capacity = candidate.capacity
+                    if capacity - used >= size:
+                        fraction = used / capacity
+                        if device is None or fraction < utilization:
+                            device = candidate
+                            utilization = fraction
                 if device is None:
                     continue
                 score = (
                     throughput_term
-                    + w_data * (1.0 - device.utilization)
+                    + w_data * (1.0 - utilization)
                     + load_term
                     + w_fault * (rack_bonus + tier_bonus)
                     + locality_term
@@ -476,12 +489,16 @@ class OctopusPlacementPolicy(PlacementPolicy):
                 # Deterministic tie-break on (score, node id, tier).
                 if score > best_score or (
                     score == best_score
-                    and best is not None
-                    and (node.node_id, tier) < (best.node_id, best.tier)
+                    and best_node is not None
+                    and (node.node_id, tier) < (best_node, best_tier)
                 ):
-                    best = PlacementTarget(node.node_id, tier, device.device_id)
+                    best_node = node.node_id
+                    best_tier = tier
+                    best_device = device
                     best_score = score
-        return best
+        if best_node is None:
+            return None
+        return PlacementTarget(best_node, best_tier, best_device.device_id)
 
     # -- PlacementPolicy API --------------------------------------------------
     def place_block(

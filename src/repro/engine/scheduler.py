@@ -196,14 +196,11 @@ class TaskScheduler:
         return execution
 
     # -- dispatch loop -----------------------------------------------------------
-    def _total_free(self) -> int:
-        return self._free_total
-
     def _dispatch(self) -> None:
         while self._pending and self._free_total > 0:
             task = self._pending.popleft()
             node_id = self._pick_node(task)
-            assert node_id is not None  # guaranteed by _total_free() > 0
+            assert node_id is not None  # guaranteed by _free_total > 0
             self._take_slot(node_id)
             if isinstance(task, _MapTask):
                 self._start_map(task, node_id)
@@ -237,11 +234,21 @@ class TaskScheduler:
             for replica in replicas:
                 if self.free_slots(replica.node_id) > 0:
                     return replica.node_id
-        # Fall back to the node with the most free slots (deterministic).
-        candidates = [n for n in self._slots if self.free_slots(n) > 0]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda n: (self.free_slots(n), n))
+        # Fall back to the node with the most free slots, the larger node
+        # id on ties: one pass, the same pick as a keyed max over
+        # (free_slots, node_id).
+        best: Optional[str] = None
+        best_free = 0
+        dead = self._dead
+        busy = self._busy
+        for node_id, slots in self._slots.items():
+            if node_id in dead:
+                continue
+            free = slots - busy[node_id]
+            if free > best_free or (free == best_free and free > 0 and node_id > best):
+                best = node_id
+                best_free = free
+        return best
 
     # -- map task execution ---------------------------------------------------------
     def _start_map(self, task: _MapTask, node_id: str) -> None:

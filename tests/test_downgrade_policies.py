@@ -39,6 +39,18 @@ def create_files(client, sim, specs):
     return [s[0] for s in specs]
 
 
+def scan_pick(ctx, tier):
+    """The LRU pick by a full scan: the reference the index must equal."""
+    candidates = ctx.files_on_tier(tier)
+    if not candidates:
+        return None
+    stats = ctx.stats
+    return min(
+        candidates,
+        key=lambda f: (stats.get_or_create(f).last_access_or_creation, f.inode_id),
+    )
+
+
 class TestLru:
     def test_selects_least_recently_used(self, stack):
         sim, master, client, manager = stack
@@ -68,6 +80,56 @@ class TestLru:
         _, _, _, manager = stack
         policy = LruDowngradePolicy(manager.ctx)
         assert policy.how_to_downgrade(None, StorageTier.MEMORY) is DowngradeAction.MOVE
+
+
+class TestLruLateAttach:
+    """The manager (and its LRU policy) attach after files exist.
+
+    Those files never reached the statistics registry through a create
+    notification; the policy must still pick what the scan picks.
+    """
+
+    def _unmanaged(self):
+        sim = Simulator()
+        topo = build_local_cluster(num_workers=3, memory_per_node=1 * GB)
+        nm = NodeManager(topo)
+        master = Master(topo, OctopusPlacementPolicy(topo, nm, Configuration()), sim)
+        return sim, master, DFSClient(master)
+
+    def test_policy_installed_after_files_exist(self):
+        sim, master, client = self._unmanaged()
+        create_files(
+            client, sim, [("/c", 64 * MB, 1), ("/a", 64 * MB, 1), ("/b", 64 * MB, 1)]
+        )
+        client.open("/c")  # nobody listens yet: /c still ranks by creation
+        manager = ReplicationManager(master, sim)
+        policy = LruDowngradePolicy(manager.ctx)
+        manager.set_downgrade_policy(policy)
+        assert len(manager.stats) == 0
+        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        assert selected.path == "/c"
+        assert selected is scan_pick(manager.ctx, StorageTier.MEMORY)
+        client.open("/c")  # seen now: /a becomes the oldest
+        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        assert selected.path == "/a"
+        assert selected is scan_pick(manager.ctx, StorageTier.MEMORY)
+
+    def test_files_without_stats_entries(self):
+        sim, master, client = self._unmanaged()
+        create_files(
+            client, sim, [("/a", 64 * MB, 1), ("/b", 64 * MB, 1), ("/c", 64 * MB, 1)]
+        )
+        manager = ReplicationManager(master, sim)
+        sim.run(until=sim.now() + 10)
+        client.open("/a")  # the only file with a statistics entry
+        client.create("/d", 64 * MB)  # and one created after the attach
+        policy = LruDowngradePolicy(manager.ctx)
+        assert len(manager.stats) == 2
+        for tier in (StorageTier.MEMORY, StorageTier.SSD, StorageTier.HDD):
+            assert policy.select_file_to_downgrade(tier) is scan_pick(
+                manager.ctx, tier
+            )
+        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/b"
 
 
 class TestLfu:

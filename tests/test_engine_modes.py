@@ -1,8 +1,8 @@
 """Fast engine mode must reproduce the reference results exactly.
 
 The fast engine (``SystemConfig(engine_mode="fast")``) changes event
-storage, tick skipping, and LRU candidate selection — none of which may
-alter a single simulated metric.  These tests run every
+storage and tick skipping — neither of which may alter a single
+simulated metric.  These tests run every
 registered scenario under both engines and both I/O models and require
 identical outcomes, plus targeted checks for the conf routing and the
 simulator-core equivalence under randomized schedules.

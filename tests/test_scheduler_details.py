@@ -1,5 +1,6 @@
 """Deeper scheduler behaviour tests: slots, outputs, ordering."""
 
+import itertools
 
 from repro.common.units import MB
 from repro.engine import SystemConfig, WorkloadRunner
@@ -35,6 +36,29 @@ class TestSlots:
         _, result = run_trace(trace)
         mean = result.metrics.bins["B"].mean_completion_time
         assert 0 < mean < 120.0
+
+
+class TestFallbackPick:
+    def test_most_free_slots_then_larger_node_id(self):
+        # Without a usable replica holder the pick is the keyed max over
+        # (free_slots, node_id) of the nodes with a free slot.
+        runner = WorkloadRunner(
+            Trace(name="t", duration=1.0), SystemConfig(label="t", workers=4)
+        )
+        scheduler = runner.scheduler
+        nodes = sorted(scheduler._slots)
+        slots = scheduler._slots[nodes[0]]
+        for busy in itertools.product((0, slots - 1, slots), repeat=len(nodes)):
+            for dead in (set(), {nodes[3]}, {nodes[0], nodes[2]}):
+                scheduler._busy = dict(zip(nodes, busy))
+                scheduler._dead = set(dead)
+                free = [n for n in nodes if scheduler.free_slots(n) > 0]
+                expected = (
+                    max(free, key=lambda n: (scheduler.free_slots(n), n))
+                    if free
+                    else None
+                )
+                assert scheduler._pick_node(None) == expected
 
 
 class TestOutputs:

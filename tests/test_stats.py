@@ -78,6 +78,35 @@ class TestStatisticsRegistry:
         assert [f.path for f in order] == ["/b", "/a", "/c"]
         assert [f.path for f in registry.mru_order([a, b, c])] == ["/c", "/a", "/b"]
 
+    def test_least_recent_walks_the_recency_index(self):
+        registry = StatisticsRegistry()
+        fs = FSDirectory()
+        a = fs.create_file("/a", creation_time=10.0)
+        b = fs.create_file("/b", creation_time=5.0)
+        c = fs.create_file("/c", creation_time=5.0)
+        for f in (a, b, c):
+            registry.on_create(f)
+        everyone = {a.inode_id, b.inode_id, c.inode_id}
+        assert registry.least_recent(everyone, ()) is b  # tie: lower inode id
+        assert registry.least_recent(everyone, {b.inode_id}) is c
+        registry.on_access(b, 50.0)
+        assert registry.least_recent(everyone, ()) is c
+        registry.on_delete(c)
+        assert registry.least_recent(everyone, ()) is a
+        assert registry.least_recent({b.inode_id}, ()) is b
+        assert registry.least_recent(set(), ()) is None
+
+    def test_track_registers_only_unknown_files(self):
+        registry = StatisticsRegistry()
+        fs = FSDirectory()
+        a = fs.create_file("/a", creation_time=1.0)
+        b = fs.create_file("/b", creation_time=2.0)
+        known = registry.on_access(a, 7.0)
+        registry.track({a.inode_id: a, b.inode_id: b})
+        assert registry.get(a) is known
+        assert len(registry) == 2
+        assert registry.least_recent({a.inode_id, b.inode_id}, ()) is b
+
     def test_k_propagates(self):
         registry = StatisticsRegistry(k=2)
         file = make_file()
