@@ -7,9 +7,9 @@ accounting and the metadata maps can never diverge.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.cluster.hardware import TierSpec
+from repro.cluster.hardware import StorageDevice, TierSpec
 from repro.cluster.topology import ClusterTopology
 from repro.common.errors import ReplicaNotFoundError
 from repro.dfs.block import BlockInfo, ReplicaInfo
@@ -41,6 +41,9 @@ class BlockManager:
         #: release.  Consumers (the coarse-tick fast path) use it to
         #: prove "no capacity-relevant state changed since X".
         self.replica_mutations = 0
+        # (node_id, tier, device_id) -> device, for O(1) lookups; filled
+        # from the topology on first use and again for nodes added later.
+        self._devices: Dict[Tuple[str, TierSpec, str], StorageDevice] = {}
 
     # -- block lifecycle -----------------------------------------------------
     def allocate_block(self, file: INodeFile, index: int, size: int) -> BlockInfo:
@@ -75,8 +78,7 @@ class BlockManager:
         The caller must have picked ``device_id`` via a placement policy;
         this method performs the actual allocation.
         """
-        node = self._topology.node(node_id)
-        device = next(d for d in node.devices(tier) if d.device_id == device_id)
+        device = self.device(node_id, tier, device_id)
         replica = ReplicaInfo(
             self._next_replica_id, block, node_id, tier, device_id
         )
@@ -96,10 +98,7 @@ class BlockManager:
         replica.block.replicas.pop(replica.replica_id, None)
 
     def _release_replica(self, replica: ReplicaInfo) -> None:
-        node = self._topology.node(replica.node_id)
-        device = next(
-            d for d in node.devices(replica.tier) if d.device_id == replica.device_id
-        )
+        device = self.device(replica.node_id, replica.tier, replica.device_id)
         device.release(replica.replica_id, replica.block.size)
         self._replicas.pop(replica.replica_id, None)
         key = (replica.node_id, replica.tier)
@@ -148,6 +147,27 @@ class BlockManager:
             del bytes_by_file[block.file_id]
 
     # -- queries ---------------------------------------------------------------
+    def device(self, node_id: str, tier: TierSpec, device_id: str) -> StorageDevice:
+        """The device ``device_id`` of ``node_id``'s ``tier``, in O(1).
+
+        Raises :class:`ReplicaNotFoundError` when ``(node_id, tier)`` has
+        no such device.
+        """
+        key = (node_id, tier, device_id)
+        device = self._devices.get(key)
+        if device is None:
+            for node in self._topology.nodes:
+                for candidate in node.devices():
+                    self._devices[
+                        (node.node_id, candidate.tier, candidate.device_id)
+                    ] = candidate
+            device = self._devices.get(key)
+            if device is None:
+                raise ReplicaNotFoundError(
+                    f"no device {device_id!r} on node {node_id!r} tier {tier.name}"
+                )
+        return device
+
     def block(self, block_id: int) -> BlockInfo:
         return self._blocks[block_id]
 

@@ -238,38 +238,40 @@ class Master:
         """Pick the replica a reader on ``reader_node`` should use.
 
         HDFS semantics: network distance first (local replicas beat
-        remote ones), then tier speed among equals.
+        remote ones), then tier speed among equals: the smallest
+        ``(distance, tier.level, replica_id)``, found in one pass.
         """
-        replicas = block.replica_list()
+        replicas = block.replicas
         if not replicas:
             raise InvalidPathError(f"block {block.block_id} has no replicas")
         if reader_node is not None and reader_node in self.topology:
-            reader = self.topology.node(reader_node)
-
-            def key(replica: ReplicaInfo):
-                distance = self.topology.distance(
-                    reader, self.topology.node(replica.node_id)
-                )
-                return (distance, replica.tier, replica.replica_id)
-
-            chosen = min(replicas, key=key)
-            distance = self.topology.distance(
-                reader, self.topology.node(chosen.node_id)
-            )
+            node = self.topology.node
+            reader_rack = node(reader_node).rack
+            chosen = None
+            best = None
+            for replica in replicas.values():
+                node_id = replica.node_id
+                if node_id == reader_node:
+                    distance = ClusterTopology.SAME_NODE
+                elif node(node_id).rack == reader_rack:
+                    distance = ClusterTopology.SAME_RACK
+                else:
+                    distance = ClusterTopology.OFF_RACK
+                key = (distance, replica.tier.level, replica.replica_id)
+                if best is None or key < best:
+                    chosen = replica
+                    best = key
             return BlockRead(
                 block=block,
                 replica=chosen,
-                distance=distance,
-                local=distance == ClusterTopology.SAME_NODE,
+                distance=best[0],
+                local=best[0] == ClusterTopology.SAME_NODE,
             )
         # No reader context: serve from the fastest tier, least-loaded node.
+        load_score = self.node_manager.load_score
         chosen = min(
-            replicas,
-            key=lambda r: (
-                r.tier,
-                self.node_manager.load_score(r.node_id),
-                r.replica_id,
-            ),
+            replicas.values(),
+            key=lambda r: (r.tier.level, load_score(r.node_id), r.replica_id),
         )
         return BlockRead(
             block=block,
@@ -353,10 +355,7 @@ class Master:
         Raises :class:`InsufficientSpaceError` if the target device is
         full — callers should pick another target or give up.
         """
-        node = self.topology.node(target.node_id)
-        device = next(
-            d for d in node.devices(target.tier) if d.device_id == target.device_id
-        )
+        device = self.blocks.device(target.node_id, target.tier, target.device_id)
         token = next(self._ticket_tokens)
         # Pending reservations use negative ids so they can never collide
         # with real replica ids.
@@ -372,12 +371,8 @@ class Master:
         """Finish a transfer: materialize the new replica, drop the source."""
         self._close_ticket(ticket)
         ticket.committed = True
-        node = self.topology.node(ticket.target.node_id)
-        device = next(
-            d
-            for d in node.devices(ticket.target.tier)
-            if d.device_id == ticket.target.device_id
-        )
+        target = ticket.target
+        device = self.blocks.device(target.node_id, target.tier, target.device_id)
         device.release(-ticket.token, ticket.block.size)
         replica = self.blocks.add_replica(
             ticket.block,
@@ -399,12 +394,8 @@ class Master:
         """Cancel a transfer, releasing the target-space reservation."""
         self._close_ticket(ticket)
         ticket.aborted = True
-        node = self.topology.node(ticket.target.node_id)
-        device = next(
-            d
-            for d in node.devices(ticket.target.tier)
-            if d.device_id == ticket.target.device_id
-        )
+        target = ticket.target
+        device = self.blocks.device(target.node_id, target.tier, target.device_id)
         device.release(-ticket.token, ticket.block.size)
 
     def _close_ticket(self, ticket: TransferTicket) -> None:

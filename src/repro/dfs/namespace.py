@@ -15,7 +15,20 @@ from repro.common.errors import (
 
 
 def normalize_path(path: str) -> str:
-    """Normalize to an absolute path with no trailing slash (except root)."""
+    """Normalize to an absolute path with no trailing slash (except root).
+
+    An already-normal path — absolute, no empty component, no trailing
+    slash and no component starting with ``.`` — is returned unchanged
+    without splitting; every other input takes the split-and-join form.
+    """
+    if (
+        type(path) is str
+        and path[:1] == "/"
+        and "//" not in path
+        and "/." not in path
+        and (path[-1] != "/" or len(path) == 1)
+    ):
+        return path
     if not path or not path.startswith("/"):
         raise InvalidPathError(f"path must be absolute: {path!r}")
     parts = [p for p in path.split("/") if p]
@@ -27,7 +40,8 @@ def normalize_path(path: str) -> str:
 
 def split_path(path: str) -> List[str]:
     """Path components of a normalized path (empty list for root)."""
-    return [p for p in normalize_path(path).split("/") if p]
+    normal = normalize_path(path)
+    return normal[1:].split("/") if len(normal) > 1 else []
 
 
 def parent_path(path: str) -> str:

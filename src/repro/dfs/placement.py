@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.cluster.hardware import StorageDevice, TierSpec
+from repro.cluster.hardware import TierSpec
 from repro.cluster.node import Node
 from repro.cluster.topology import ClusterTopology
 from repro.common.config import Configuration
@@ -400,8 +400,12 @@ class OctopusPlacementPolicy(PlacementPolicy):
         used_tiers: Set[TierSpec],
         prefer_node: Optional[str],
     ) -> Optional[float]:
-        """Score one candidate (kept for tests/tools; the hot loop in
-        :meth:`_best_candidate` inlines the same arithmetic)."""
+        """Score one candidate: the reference arithmetic.
+
+        Placement itself scores through :meth:`_candidate_rows` and
+        :meth:`_pick`, which split this sum into a per-block prefix and
+        a per-replica tail; trace records and tests use this form.
+        """
         device = node.best_device_for(tier, size)
         if device is None:
             return None
@@ -424,49 +428,42 @@ class OctopusPlacementPolicy(PlacementPolicy):
             + self.w_locality * locality
         )
 
-    def _best_candidate(
+    def _candidate_rows(
         self,
         size: int,
         tiers: Sequence[TierSpec],
         excluded_nodes: Set[str],
-        used_racks: Set[str],
-        used_tiers: Set[TierSpec],
-        prefer_node: Optional[str],
-    ) -> Optional[PlacementTarget]:
-        # Inlined scoring: per-tier and per-node terms are hoisted out of
-        # the inner loop, and the device choice of Node.best_device_for
-        # (emptiest fitting device, first one on ties) is made inline
-        # with its ``used / capacity`` kept for the data-balance term.
-        # Every product and the left-to-right sum order match _score
-        # exactly, so the selected candidate (and the tie-breaks) are
-        # bit-identical to scoring each pair afresh.
-        best_node: Optional[str] = None
-        best_tier: Optional[TierSpec] = None
-        best_device: Optional[StorageDevice] = None
-        best_score = float("-inf")
+    ) -> List[tuple]:
+        """The (node, tier) candidates for one block of ``size`` bytes.
+
+        One ``(node_id, rack, cells)`` row per live, non-excluded node
+        with a fitting device, where ``cells`` holds a ``(tier, device,
+        prefix)`` entry per tier in ``tiers`` that has one.  ``device``
+        is :meth:`Node.best_device_for`'s choice (the emptiest fitting
+        device, the first one on ties), made inline with its ``used /
+        capacity`` kept for the data-balance term.  ``prefix`` is the
+        replica-independent head of :meth:`_score`'s left-to-right sum,
+        ``(throughput + data balance) + load balance``, with the same
+        products.  Nothing a row depends on changes while one block's
+        replicas are chosen, so :meth:`place_block` builds the rows once
+        per block.
+        """
+        rows = []
         w_data = self.w_data_balance
-        w_fault = self.w_fault_tolerance
+        w_load = self.w_load_balance
         load_scores = self.node_manager.load_score
         tier_terms = [
-            (
-                tier,
-                self.w_throughput * self.tier_scores.get(tier, 0.0),
-                0.0 if tier in used_tiers else 0.5,
-            )
+            (tier, self.w_throughput * self.tier_scores.get(tier, 0.0))
             for tier in tiers
         ]
         for node in self.topology.nodes:
-            if not node.alive or node.node_id in excluded_nodes:
+            node_id = node.node_id
+            if not node.alive or node_id in excluded_nodes:
                 continue
-            load_term = self.w_load_balance * (1.0 - load_scores(node.node_id))
-            rack_bonus = 0.0 if node.rack in used_racks else 0.5
-            locality_term = self.w_locality * (
-                1.0
-                if prefer_node is not None and node.node_id == prefer_node
-                else 0.0
-            )
+            load_term = w_load * (1.0 - load_scores(node_id))
             tier_devices = node.tier_devices
-            for tier, throughput_term, tier_bonus in tier_terms:
+            cells = []
+            for tier, throughput_term in tier_terms:
                 device = None
                 utilization = 0.0
                 for candidate in tier_devices[tier]:
@@ -477,22 +474,57 @@ class OctopusPlacementPolicy(PlacementPolicy):
                         if device is None or fraction < utilization:
                             device = candidate
                             utilization = fraction
-                if device is None:
-                    continue
-                score = (
-                    throughput_term
-                    + w_data * (1.0 - utilization)
-                    + load_term
-                    + w_fault * (rack_bonus + tier_bonus)
-                    + locality_term
-                )
-                # Deterministic tie-break on (score, node id, tier).
+                if device is not None:
+                    prefix = throughput_term + w_data * (1.0 - utilization) + load_term
+                    cells.append((tier, device, prefix))
+            if cells:
+                rows.append((node_id, node.rack, cells))
+        return rows
+
+    def _pick(
+        self,
+        rows: List[tuple],
+        used_nodes: Set[str],
+        used_racks: Set[str],
+        used_tiers: Set[TierSpec],
+        prefer_node: Optional[str],
+        fresh_only: bool,
+    ) -> Optional[PlacementTarget]:
+        """The best candidate for one replica, or None.
+
+        Adds the fault-tolerance and locality terms to each cell's
+        prefix in :meth:`_score`'s order and keeps the highest score,
+        the smallest ``(node_id, tier)`` on ties.  Nodes in
+        ``used_nodes`` are skipped, and with ``fresh_only`` so are tiers
+        in ``used_tiers``.
+        """
+        w_fault = self.w_fault_tolerance
+        local_term = self.w_locality * 1.0
+        remote_term = self.w_locality * 0.0
+        best_node: Optional[str] = None
+        best_tier: Optional[TierSpec] = None
+        best_device = None
+        best_score = float("-inf")
+        for node_id, rack, cells in rows:
+            if node_id in used_nodes:
+                continue
+            rack_bonus = 0.0 if rack in used_racks else 0.5
+            fresh_term = w_fault * (rack_bonus + 0.5)
+            reused_term = w_fault * (rack_bonus + 0.0)
+            locality_term = local_term if node_id == prefer_node else remote_term
+            for tier, device, prefix in cells:
+                if tier in used_tiers:
+                    if fresh_only:
+                        continue
+                    score = prefix + reused_term + locality_term
+                else:
+                    score = prefix + fresh_term + locality_term
                 if score > best_score or (
                     score == best_score
                     and best_node is not None
-                    and (node.node_id, tier) < (best_node, best_tier)
+                    and (node_id, tier) < (best_node, best_tier)
                 ):
-                    best_node = node.node_id
+                    best_node = node_id
                     best_tier = tier
                     best_device = device
                     best_score = score
@@ -511,31 +543,25 @@ class OctopusPlacementPolicy(PlacementPolicy):
         used_nodes: Set[str] = set()
         used_racks: Set[str] = set()
         used_tiers: Set[TierSpec] = set()
+        rows = self._candidate_rows(size, self.hierarchy.tiers, set())
         for i in range(replication):
             prefer = writer_node if i == 0 else None
             # Strict tier-diversity preference: OctopusFS puts the replicas
             # of one block on *different* tiers while space lasts (Sec 3.1),
             # falling back to reusing tiers only when the fresh ones are full.
-            fresh_tiers = [t for t in self.hierarchy if t not in used_tiers]
-            target = None
-            pool: Sequence[TierSpec] = fresh_tiers
-            if fresh_tiers:
-                target = self._best_candidate(
-                    size, fresh_tiers, used_nodes, used_racks, used_tiers, prefer
-                )
+            fresh = True
+            target = self._pick(rows, used_nodes, used_racks, used_tiers, prefer, True)
             if target is None:
-                pool = list(self.hierarchy)
-                target = self._best_candidate(
-                    size,
-                    list(self.hierarchy),
-                    used_nodes,
-                    used_racks,
-                    used_tiers,
-                    prefer,
+                fresh = False
+                target = self._pick(
+                    rows, used_nodes, used_racks, used_tiers, prefer, False
                 )
             if target is None:
                 break
             if self.tracer is not None:
+                pool = [
+                    t for t in self.hierarchy if not fresh or t not in used_tiers
+                ]
                 self._trace_choice(
                     size, i, target, pool, used_nodes, used_racks, used_tiers, prefer
                 )
@@ -558,11 +584,10 @@ class OctopusPlacementPolicy(PlacementPolicy):
     ) -> None:
         """Emit one ``placement`` audit record for a chosen replica target.
 
-        Re-scores every live candidate with :meth:`_score` (the
-        reference arithmetic) so the record shows *why* the winner won.
-        Only called when a tracer is installed, and only from the cold
-        path wrapper in :meth:`place_block` — the inlined
-        :meth:`_best_candidate` hot loop stays untouched.
+        Re-scores every live candidate in ``pool`` with :meth:`_score`
+        (the reference arithmetic) so the record shows *why* the winner
+        won.  Only called when a tracer is installed; the candidate rows
+        :meth:`place_block` scores from are not touched.
         """
         candidates = []
         for node in self.topology.nodes:
@@ -610,11 +635,7 @@ class OctopusPlacementPolicy(PlacementPolicy):
             for r in block.replicas.values()
             if r.replica_id != from_replica.replica_id
         }
-        return self._best_candidate(
-            block.size,
-            candidate_tiers,
-            excluded,
-            used_racks,
-            used_tiers,
-            prefer_node=from_replica.node_id,
+        rows = self._candidate_rows(block.size, candidate_tiers, excluded)
+        return self._pick(
+            rows, set(), used_racks, used_tiers, from_replica.node_id, False
         )

@@ -13,8 +13,8 @@ the gap between location-based and access-based hit ratios (Fig 9).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,20 +29,12 @@ from repro.workload.jobs import OutputSpec, TraceJob
 
 
 @dataclass
-class _MapTask:
-    job: "JobExecution"
-    block: BlockInfo
-
-
-@dataclass
-class _OutputTask:
-    job: "JobExecution"
-    spec: OutputSpec
-
-
-@dataclass
 class JobExecution:
-    """Runtime state of one trace job."""
+    """Runtime state of one trace job.
+
+    ``bin_name`` and ``sinks`` (the collectors recording the job) are
+    resolved once, when the job is submitted, not on every task event.
+    """
 
     trace_job: TraceJob
     submit_time: float
@@ -50,10 +42,66 @@ class JobExecution:
     outputs_remaining: int = 0
     finished: bool = False
     task_seconds: float = 0.0
+    bin_name: str = field(init=False)
+    sinks: Tuple[MetricsCollector, ...] = field(init=False, default=())
 
-    @property
-    def bin_name(self) -> str:
-        return self.trace_job.size_bin.name
+    def __post_init__(self) -> None:
+        self.bin_name = self.trace_job.size_bin.name
+
+
+class _Task:
+    """A queued task and, once started, where, since when and as what.
+
+    The completion steps are bound methods of the record, so starting
+    a task allocates no closures.
+    """
+
+    __slots__ = ("scheduler", "job", "node_id", "start", "name", "delay", "release")
+
+    def __init__(self, scheduler: "TaskScheduler", job: JobExecution) -> None:
+        self.scheduler = scheduler
+        self.job = job
+
+    def io_done(self) -> None:
+        """Fair-share pricing: the last byte landed; ``delay`` remains."""
+        self.scheduler.sim.after(self.delay, self.finish, name=self.name)
+
+    def finish_snapshot(self) -> None:
+        self.release()
+        self.finish()
+
+    def finish(self) -> None:
+        raise NotImplementedError
+
+
+class _MapTask(_Task):
+    """Reads one input block; ``tier`` is the tier of the replica read."""
+
+    __slots__ = ("block", "tier")
+
+    def __init__(
+        self, scheduler: "TaskScheduler", job: JobExecution, block: BlockInfo
+    ) -> None:
+        super().__init__(scheduler, job)
+        self.block = block
+
+    def finish(self) -> None:
+        self.scheduler._map_finished(self)
+
+
+class _OutputTask(_Task):
+    """Writes one output file."""
+
+    __slots__ = ("spec",)
+
+    def __init__(
+        self, scheduler: "TaskScheduler", job: JobExecution, spec: OutputSpec
+    ) -> None:
+        super().__init__(scheduler, job)
+        self.spec = spec
+
+    def finish(self) -> None:
+        self.scheduler._output_finished(self)
 
 
 class TaskScheduler:
@@ -120,7 +168,8 @@ class TaskScheduler:
 
     def _sinks(self, trace_job: TraceJob):
         """Collectors recording this job: the global one, plus any
-        per-tenant projection supplied through :attr:`metrics_for_job`."""
+        per-tenant projection supplied through :attr:`metrics_for_job`.
+        Resolved once per job, at submit (:attr:`JobExecution.sinks`)."""
         if self.metrics_for_job is None:
             return (self.metrics,)
         extra = self.metrics_for_job(trace_job)
@@ -164,6 +213,7 @@ class TaskScheduler:
     def submit(self, job: TraceJob) -> JobExecution:
         """Submit a trace job: record accesses, enqueue its map tasks."""
         execution = JobExecution(trace_job=job, submit_time=self.sim.now())
+        sinks = execution.sinks = self._sinks(job)
         self.active_jobs += 1
         blocks: List[BlockInfo] = []
         for path in job.input_paths:
@@ -175,7 +225,7 @@ class TaskScheduler:
             # Fires access notifications (statistics + upgrade policies)
             # and records the location-based hit ratio.
             plan = self.master.read_file(path)
-            for sink in self._sinks(job):
+            for sink in sinks:
                 sink.record_file_access(plan.memory_location, plan.file.size)
             blocks.extend(self.master.blocks.blocks_of(plan.file))
         execution.maps_remaining = len(blocks)
@@ -189,7 +239,7 @@ class TaskScheduler:
                 outputs=len(job.outputs),
             )
         for block in blocks:
-            self._pending.append(_MapTask(job=execution, block=block))
+            self._pending.append(_MapTask(self, execution, block))
         if not blocks:
             self._maps_done(execution)
         self._dispatch()
@@ -218,7 +268,7 @@ class TaskScheduler:
             # replica, which real schedulers do not).
             replicas = task.block.replica_list()
             if self.tier_aware:
-                replicas.sort(key=lambda r: (r.tier, r.replica_id))
+                replicas.sort(key=lambda r: (r.tier.level, r.replica_id))
             elif self._rng.random() < self.locality_rate:
                 # Data-local but tier-blind: an arbitrary holder node
                 # (the seeded shuffle models the arbitrariness — a
@@ -253,77 +303,70 @@ class TaskScheduler:
     # -- map task execution ---------------------------------------------------------
     def _start_map(self, task: _MapTask, node_id: str) -> None:
         block = task.block
-        start = self.sim.now()
-        read = self.master.choose_replica(block, node_id)
-        replica = read.replica
+        task.node_id = node_id
+        task.start = self.sim.now()
+        task.name = f"map-{block.block_id}"
+        replica = self.master.choose_replica(block, node_id).replica
         remote = replica.node_id != node_id
-        tier = replica.tier
-
-        def finish() -> None:
-            self._release_slot(node_id)
-            elapsed = self.sim.now() - start
-            job = task.job
-            job.task_seconds += elapsed
-            for sink in self._sinks(job.trace_job):
-                sink.record_task_read(job.bin_name, tier, block.size)
-                sink.record_task_time(job.bin_name, elapsed)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "task_read",
-                    job=job.trace_job.job_id,
-                    tier=tier.name,
-                    node=node_id,
-                    bytes=block.size,
-                    seconds=elapsed,
-                )
-            job.maps_remaining -= 1
-            if job.maps_remaining == 0:
-                self._maps_done(job)
-            self._dispatch()
-
+        task.tier = replica.tier
         cpu = task.job.trace_job.cpu_seconds_per_byte * block.size
         if self.iomodel.fairshare:
             # The flow engine owns I/O completion; CPU crunch and task
             # overhead run after the last byte lands (and no longer hold
             # the device, unlike the snapshot approximation).
-            overhead = float(self._rng.uniform(*self.task_overhead))
-
-            def io_done() -> None:
-                self.sim.after(cpu + overhead, finish, name=f"map-{block.block_id}")
-
+            task.delay = cpu + float(self._rng.uniform(*self.task_overhead))
             self.iomodel.read(
                 block.size,
                 replica.device_id,
                 remote,
                 node_id,
                 replica.node_id,
-                on_complete=io_done,
-                name=f"map-{block.block_id}",
+                on_complete=task.io_done,
+                name=task.name,
             )
             return
-        duration, release = self.iomodel.start_read(
+        duration, task.release = self.iomodel.start_read(
             block.size, replica.device_id, remote, node_id, replica.node_id
         )
         overhead = float(self._rng.uniform(*self.task_overhead))
-        total = duration + cpu + overhead
+        self.sim.after(duration + cpu + overhead, task.finish_snapshot, name=task.name)
 
-        def finish_snapshot() -> None:
-            release()
-            finish()
-
-        self.sim.after(total, finish_snapshot, name=f"map-{block.block_id}")
+    def _map_finished(self, task: _MapTask) -> None:
+        node_id = task.node_id
+        self._release_slot(node_id)
+        elapsed = self.sim.now() - task.start
+        job = task.job
+        job.task_seconds += elapsed
+        size = task.block.size
+        for sink in job.sinks:
+            sink.record_task_read(job.bin_name, task.tier, size)
+            sink.record_task_time(job.bin_name, elapsed)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "task_read",
+                job=job.trace_job.job_id,
+                tier=task.tier.name,
+                node=node_id,
+                bytes=size,
+                seconds=elapsed,
+            )
+        job.maps_remaining -= 1
+        if job.maps_remaining == 0:
+            self._maps_done(job)
+        self._dispatch()
 
     def _maps_done(self, job: JobExecution) -> None:
         if job.outputs_remaining == 0:
             self._finish_job(job)
             return
         for spec in job.trace_job.outputs:
-            self._pending.append(_OutputTask(job=job, spec=spec))
+            self._pending.append(_OutputTask(self, job, spec))
         self._dispatch()
 
     # -- output task execution ---------------------------------------------------------
     def _start_output(self, task: _OutputTask, node_id: str) -> None:
-        start = self.sim.now()
+        task.node_id = node_id
+        task.start = self.sim.now()
         job = task.job
         try:
             file = self.master.create_file(
@@ -332,14 +375,15 @@ class TaskScheduler:
         except InsufficientSpaceError:
             self.dropped_outputs += 1
             self._release_slot(node_id)
-            self._output_done(job, start)
+            self._output_done(job, task.start)
             self._dispatch()
             return
+        task.name = f"out-{file.inode_id}"
         legs: List[WriteLeg] = []
         total_size = 0
         for block in self.master.blocks.blocks_of(file):
             total_size += block.size
-            for replica in block.replica_list():
+            for replica in block.replicas.values():
                 legs.append(
                     WriteLeg(
                         device=self.iomodel.device(replica.device_id),
@@ -347,56 +391,45 @@ class TaskScheduler:
                         node_id=replica.node_id,
                     )
                 )
-        def finish() -> None:
-            self._release_slot(node_id)
-            self._output_done(job, start)
-            self._dispatch()
-
         if self.iomodel.fairshare:
-            overhead = float(self._rng.uniform(*self.task_overhead))
-            for sink in self._sinks(job.trace_job):
+            task.delay = float(self._rng.uniform(*self.task_overhead))
+            for sink in job.sinks:
                 sink.record_write(total_size)
             if not legs:
-                self.sim.after(overhead, finish, name=f"out-{file.inode_id}")
+                self.sim.after(task.delay, task.finish, name=task.name)
                 return
-
-            def io_done() -> None:
-                self.sim.after(overhead, finish, name=f"out-{file.inode_id}")
-
             # Pipeline all blocks as one flow: replication multiplies
             # the aggregate device load, the dominant scale effect.
             self.iomodel.write(
                 total_size,
                 legs,
                 writer_node=node_id,
-                on_complete=io_done,
-                name=f"out-{file.inode_id}",
+                on_complete=task.io_done,
+                name=task.name,
             )
             return
         if legs:
             # Pipeline all blocks as one stream: replication multiplies
             # the aggregate device load, the dominant scale effect.
-            duration, release = self.iomodel.start_write(
+            duration, task.release = self.iomodel.start_write(
                 total_size, legs, writer_node=node_id
             )
         else:
-            duration, release = 0.0, lambda: None
+            duration, task.release = 0.0, lambda: None
         overhead = float(self._rng.uniform(*self.task_overhead))
-        for sink in self._sinks(job.trace_job):
+        for sink in job.sinks:
             sink.record_write(total_size)
+        self.sim.after(duration + overhead, task.finish_snapshot, name=task.name)
 
-        def finish_snapshot() -> None:
-            release()
-            finish()
-
-        self.sim.after(
-            duration + overhead, finish_snapshot, name=f"out-{file.inode_id}"
-        )
+    def _output_finished(self, task: _OutputTask) -> None:
+        self._release_slot(task.node_id)
+        self._output_done(task.job, task.start)
+        self._dispatch()
 
     def _output_done(self, job: JobExecution, start: float) -> None:
         elapsed = self.sim.now() - start
         job.task_seconds += elapsed
-        for sink in self._sinks(job.trace_job):
+        for sink in job.sinks:
             sink.record_task_time(job.bin_name, elapsed)
         if self.tracer is not None:
             self.tracer.emit(
@@ -413,7 +446,7 @@ class TaskScheduler:
         self.active_jobs -= 1
         self.jobs_finished += 1
         completion = self.sim.now() - job.submit_time
-        for sink in self._sinks(job.trace_job):
+        for sink in job.sinks:
             sink.record_job_completion(job.bin_name, completion)
         if self.tracer is not None:
             self.tracer.emit(

@@ -7,9 +7,9 @@ compaction — but stores the event queue as plain tuples over
 slab-allocated parallel arrays instead of one Python ``Event`` object
 per heap entry:
 
-* The binary heap holds ``(time, priority, seq, slot)`` tuples, so heap
-  sift comparisons run entirely in C (tuple comparison) instead of
-  calling ``Event.__lt__`` once or twice per level.
+* The binary heap holds ``(time, priority, seq, slot)`` tuples — the
+  reference heap's tuple order, with a slab slot in place of the
+  ``Event`` object.
 * Callback/liveness state lives in preallocated parallel lists indexed
   by ``slot``; slots are recycled through a free list, so a steady-state
   run allocates no per-event storage at all.
@@ -85,7 +85,7 @@ class FastSimulator(Simulator):
 
     def __init__(self, start: float = 0.0) -> None:
         super().__init__(start)
-        # The reference heap holds Event objects; ours holds tuples.
+        # Heap entries carry a slab slot where the reference keeps the Event.
         # Slabs: parallel per-slot arrays, grown in chunks.
         self._heap: List[tuple] = []
         self._slab_callback: List[Optional[Callable[[], Any]]] = []

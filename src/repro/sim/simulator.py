@@ -1,8 +1,11 @@
 """The discrete-event simulator.
 
-Events are ``(time, sequence, callback)`` entries in a binary heap; the
-sequence number breaks ties so same-timestamp events run in scheduling
-order (FIFO), which makes runs fully deterministic.
+Events are ``(time, priority, sequence, event)`` tuples in a binary
+heap; the sequence number breaks ties so same-timestamp, same-priority
+events run in scheduling order (FIFO), which makes runs fully
+deterministic.  Sequence numbers are unique, so tuple comparison — done
+in C by :mod:`heapq` — never reaches the :class:`Event` element and
+gives exactly the order of :meth:`Event.__lt__`.
 
 Cancellation is lazy: :meth:`Event.cancel` marks the entry and the run
 loop skips it when popped.  Under workloads that cancel heavily (the
@@ -11,7 +14,7 @@ start/finish) tombstones would otherwise dominate the heap and tax every
 push/pop with extra ``log n`` depth, so the simulator counts live
 tombstones and amortizes an O(n) compaction — filter out cancelled
 entries and re-heapify — whenever they outnumber the live events.
-Compaction preserves the (time, seq) order exactly, so execution is
+Compaction preserves the (time, priority, seq) order exactly, so execution is
 bit-identical with or without it.
 """
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.sim.clock import Clock
@@ -30,7 +33,11 @@ _COMPACT_MIN_TOMBSTONES = 64
 
 
 class Event:
-    """A scheduled callback.  Heap ordering is by (time, priority, seq).
+    """A scheduled callback, ordered by (time, priority, seq).
+
+    The heap orders the ``(time, priority, seq, event)`` tuple the
+    simulator pushes; :meth:`__lt__` states the same order for code that
+    sorts events directly.
 
     ``priority`` defaults to 0 everywhere, in which case ordering
     reduces to the classic (time, seq) FIFO.  The workload pump
@@ -89,7 +96,8 @@ class Simulator(Clock):
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._heap: List[Event] = []
+        #: ``(time, priority, seq, event)`` entries.
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         #: Cancelled events still sitting in the heap.
@@ -159,8 +167,9 @@ class Simulator(Clock):
             raise SimulationError(
                 f"cannot schedule event at {time} before now={self._now}"
             )
-        event = Event(time, next(self._seq), callback, name, self, priority)
-        heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, callback, name, self, priority)
+        heappush(self._heap, (time, priority, seq, event))
         if len(self._heap) > self.max_heap_size:
             self.max_heap_size = len(self._heap)
         return event
@@ -189,13 +198,13 @@ class Simulator(Clock):
         Mutates the heap list in place so that callers holding a local
         binding to it (the :meth:`run` drain loop) stay valid.
         """
-        self._heap[:] = [e for e in self._heap if not e.cancelled]
+        self._heap[:] = [entry for entry in self._heap if not entry[3].cancelled]
         heapify(self._heap)
         self._tombstones = 0
         self.heap_compactions += 1
 
     def _pop(self) -> Event:
-        event = heappop(self._heap)
+        event = heappop(self._heap)[3]
         if event.cancelled:
             self._tombstones -= 1
         event._sim = None
@@ -235,7 +244,7 @@ class Simulator(Clock):
         heap = self._heap
         pop = heappop
         while heap:
-            head = heap[0]
+            head = heap[0][3]
             if head.cancelled:
                 pop(heap)
                 self._tombstones -= 1

@@ -104,6 +104,45 @@ class TestReplicaLifecycle:
         assert len(manager.replicas_on(node.node_id, StorageTier.MEMORY)) == 1
         assert manager.replicas_on(node.node_id, StorageTier.HDD) == []
 
+    def test_add_replica_rejects_device_of_other_node_or_tier(self, setup):
+        topo, manager, file = setup
+        block = manager.allocate_block(file, 0, MB)
+        node = topo.nodes[0]
+        other = first_device(topo, 1, StorageTier.MEMORY)
+        ssd = first_device(topo, 0, StorageTier.SSD)
+        for tier, device_id in (
+            (StorageTier.MEMORY, other.device_id),  # another node's device
+            (StorageTier.MEMORY, ssd.device_id),  # this node, another tier
+            (StorageTier.MEMORY, "no-such-device"),
+        ):
+            with pytest.raises(ReplicaNotFoundError) as err:
+                manager.add_replica(block, node.node_id, tier, device_id)
+            message = str(err.value)
+            assert node.node_id in message
+            assert tier.name in message
+            assert device_id in message
+        assert block.replica_count == 0
+        assert manager.replica_count() == 0
+        assert other.used == 0 and ssd.used == 0
+
+    def test_release_rejects_device_of_other_node_or_tier(self, setup):
+        topo, manager, file = setup
+        block = manager.allocate_block(file, 0, MB)
+        node = topo.nodes[0]
+        device = first_device(topo, 0, StorageTier.HDD)
+        replica = manager.add_replica(
+            block, node.node_id, StorageTier.HDD, device.device_id
+        )
+        bogus = first_device(topo, 2, StorageTier.HDD).device_id
+        replica.device_id = bogus
+        with pytest.raises(ReplicaNotFoundError) as err:
+            manager.remove_replica(replica)
+        message = str(err.value)
+        assert node.node_id in message
+        assert StorageTier.HDD.name in message
+        assert bogus in message
+        assert device.used == MB  # nothing was released
+
 
 class TestFileTierQueries:
     def place(self, manager, topo, file, layout):

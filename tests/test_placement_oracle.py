@@ -1,12 +1,16 @@
-"""OctopusFS placement's inlined hot loop must equal its reference scoring.
+"""OctopusFS placement's table-driven scoring must equal its reference form.
 
-``OctopusPlacementPolicy._best_candidate`` chooses the device and the
-data-balance term inline instead of calling ``has_tier``,
-``best_device_for`` and ``StorageDevice.utilization``.  The oracle here
-is the slow form: score every live, non-excluded (node, tier) pair with
-``_score`` and take the highest score, breaking ties on the smallest
-``(node_id, tier)``.  Random cluster states cover the 3-device HDD tier,
-dead and excluded nodes, full devices and forced equal utilizations.
+``OctopusPlacementPolicy.place_block`` builds its (node, tier) candidate
+rows once per block (``_candidate_rows``: device choice, utilization and
+the replica-independent score prefix) and then adds only the fault and
+locality terms per replica (``_pick``).  ``select_transfer_target``
+shares the row builder.  The oracle here is the slow form: score every
+live, non-excluded (node, tier) pair with ``_score`` and take the
+highest score, breaking ties on the smallest ``(node_id, tier)``; whole
+``place_block`` calls are replayed replica by replica against it, with
+the fresh-tier preference and fallback.  Random cluster states cover the
+3-device HDD tier, dead and excluded nodes, full devices and forced
+equal utilizations (score ties).
 """
 
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from repro.cluster import build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.dfs import NodeManager, OctopusPlacementPolicy
+from repro.dfs.block import BlockInfo, ReplicaInfo
 
 WORKERS = 5
 
@@ -23,6 +28,8 @@ WORKERS = 5
 #: utilizations (and score ties); 0.75 leaves exactly 256 MB free on
 #: memory and HDD devices, 1.0 leaves the device full.
 _FILLS = (0.0, 0.25, 0.5, 0.5, 0.75, 1.0)
+
+_SIZES = (1 * MB, 64 * MB, 256 * MB, 600 * MB)
 
 
 def oracle(policy, size, tiers, excluded, used_racks, used_tiers, prefer):
@@ -44,8 +51,45 @@ def oracle(policy, size, tiers, excluded, used_racks, used_tiers, prefer):
     return best[1], best[2], best[3]
 
 
+def oracle_place_block(policy, size, replication, writer_node):
+    """``place_block`` replayed replica by replica through the oracle."""
+    hierarchy = list(policy.hierarchy)
+    chosen = []
+    used_nodes, used_racks, used_tiers = set(), set(), set()
+    for i in range(replication):
+        prefer = writer_node if i == 0 else None
+        fresh = [t for t in hierarchy if t not in used_tiers]
+        target = None
+        if fresh:
+            target = oracle(
+                policy, size, fresh, used_nodes, used_racks, used_tiers, prefer
+            )
+        if target is None:
+            target = oracle(
+                policy, size, hierarchy, used_nodes, used_racks, used_tiers, prefer
+            )
+        if target is None:
+            break
+        chosen.append(target)
+        node_id, tier, _device = target
+        used_nodes.add(node_id)
+        used_racks.add(policy.topology.node(node_id).rack)
+        used_tiers.add(tier)
+    return chosen
+
+
+def as_tuples(targets):
+    return [(t.node_id, t.tier, t.device_id) for t in targets]
+
+
+def pick(policy, size, tiers, excluded, used_racks, used_tiers, prefer):
+    """The table-driven choice of one candidate, for the same arguments."""
+    rows = policy._candidate_rows(size, tiers, excluded)
+    return policy._pick(rows, set(), used_racks, used_tiers, prefer, False)
+
+
 @st.composite
-def cluster_states(draw):
+def clusters(draw):
     topo = build_local_cluster(
         num_workers=WORKERS,
         memory_per_node=1 * GB,
@@ -67,13 +111,19 @@ def cluster_states(draw):
         for _ in range(draw(st.integers(0, 2))):
             nm.transfer_started(node.node_id)
         node.alive = draw(st.booleans()) or node is topo.nodes[0]
-    policy = OctopusPlacementPolicy(topo, nm, Configuration())
+    return OctopusPlacementPolicy(topo, nm, Configuration())
+
+
+@st.composite
+def cluster_states(draw):
+    policy = draw(clusters())
+    topo = policy.topology
     hierarchy = list(topo.hierarchy)
     node_ids = [n.node_id for n in topo.nodes]
     racks = sorted({n.rack for n in topo.nodes})
     tiers = [t for t in hierarchy if draw(st.booleans())] or hierarchy
     args = (
-        draw(st.sampled_from([1 * MB, 64 * MB, 256 * MB, 600 * MB])),
+        draw(st.sampled_from(_SIZES)),
         tiers,
         set(draw(st.lists(st.sampled_from(node_ids), max_size=3))),
         set(draw(st.lists(st.sampled_from(racks), max_size=2))),
@@ -87,7 +137,7 @@ def cluster_states(draw):
 @given(state=cluster_states())
 def test_best_candidate_equals_scored_argmax(state):
     policy, args = state
-    target = policy._best_candidate(*args)
+    target = pick(policy, *args)
     expected = oracle(policy, *args)
     if expected is None:
         assert target is None
@@ -95,17 +145,126 @@ def test_best_candidate_equals_scored_argmax(state):
         assert (target.node_id, target.tier, target.device_id) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    policy=clusters(),
+    size=st.sampled_from(_SIZES),
+    replication=st.integers(1, 4),
+    writer=st.one_of(st.none(), st.integers(0, WORKERS - 1)),
+)
+def test_place_block_equals_replayed_oracle(policy, size, replication, writer):
+    writer_node = None if writer is None else policy.topology.nodes[writer].node_id
+    targets = policy.place_block(size, replication, writer_node)
+    assert as_tuples(targets) == oracle_place_block(
+        policy, size, replication, writer_node
+    )
+
+
+@st.composite
+def transfer_states(draw):
+    policy = draw(clusters())
+    topo = policy.topology
+    hierarchy = list(topo.hierarchy)
+    block = BlockInfo(0, 0, 0, draw(st.sampled_from(_SIZES)))
+    holders = draw(
+        st.lists(
+            st.tuples(st.integers(0, WORKERS - 1), st.sampled_from(hierarchy)),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    for replica_id, (index, tier) in enumerate(holders):
+        node = topo.nodes[index]
+        block.replicas[replica_id] = ReplicaInfo(
+            replica_id, block, node.node_id, tier, f"{node.node_id}:held"
+        )
+    source = block.replicas[draw(st.integers(0, len(holders) - 1))]
+    tiers = draw(st.lists(st.sampled_from(hierarchy), min_size=1, max_size=3))
+    return policy, block, source, tiers
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=transfer_states())
+def test_select_transfer_target_equals_oracle(state):
+    policy, block, source, tiers = state
+    others = [r for r in block.replicas.values() if r.replica_id != source.replica_id]
+    expected = oracle(
+        policy,
+        block.size,
+        tiers,
+        policy._nodes_excluded_for(block, source),
+        {policy.topology.node(r.node_id).rack for r in others},
+        {r.tier for r in others},
+        source.node_id,
+    )
+    target = policy.select_transfer_target(block, source, tiers)
+    if expected is None:
+        assert target is None
+    else:
+        assert (target.node_id, target.tier, target.device_id) == expected
+
+
+def _policy(**cluster):
+    topo = build_local_cluster(**cluster)
+    return OctopusPlacementPolicy(topo, NodeManager(topo), Configuration())
+
+
 def test_hdd_device_choice_keeps_first_on_ties():
-    topo = build_local_cluster(num_workers=1, memory_per_node=1 * GB)
-    nm = NodeManager(topo)
-    policy = OctopusPlacementPolicy(topo, nm, Configuration())
-    node = topo.nodes[0]
-    hdd = topo.hierarchy.tier("HDD")
+    policy = _policy(num_workers=1, memory_per_node=1 * GB)
+    node = policy.topology.nodes[0]
+    hdd = policy.hierarchy.tier("HDD")
     first, second, third = node.devices(hdd)
     first.allocate(1, first.capacity // 2)
     # second and third are equally empty: the first of them wins.
-    target = policy._best_candidate(64 * MB, [hdd], set(), set(), set(), None)
+    target = pick(policy, 64 * MB, [hdd], set(), set(), set(), None)
     assert target.device_id == second.device_id
     second.allocate(2, second.capacity)  # full: skipped
-    target = policy._best_candidate(64 * MB, [hdd], set(), set(), set(), None)
+    target = pick(policy, 64 * MB, [hdd], set(), set(), set(), None)
     assert target.device_id == third.device_id
+
+
+def test_writer_node_gets_the_first_replica():
+    policy = _policy(num_workers=4, rack_size=2)
+    writer = policy.topology.nodes[3].node_id
+    targets = policy.place_block(64 * MB, 3, writer)
+    assert targets[0].node_id == writer
+    assert [t.tier for t in targets] == list(policy.hierarchy)
+    assert as_tuples(targets) == oracle_place_block(policy, 64 * MB, 3, writer)
+
+
+def test_equal_scores_break_on_smallest_node_then_tier():
+    policy = _policy(num_workers=4, rack_size=4)
+    ids = sorted(n.node_id for n in policy.topology.nodes)
+    targets = policy.place_block(64 * MB, 3, None)
+    # An empty, idle, one-rack cluster scores every node alike per tier.
+    assert [t.node_id for t in targets] == ids[:3]
+    assert as_tuples(targets) == oracle_place_block(policy, 64 * MB, 3, None)
+
+
+def test_full_fresh_tiers_fall_back_to_a_used_tier():
+    policy = _policy(num_workers=3, memory_per_node=1 * GB, ssd_per_node=1 * GB)
+    hierarchy = list(policy.hierarchy)
+    memory, ssd, hdd = hierarchy
+    for node in policy.topology.nodes:
+        for device in node.devices(memory) + node.devices(ssd):
+            device.allocate(1, device.capacity)
+    targets = policy.place_block(64 * MB, 3, None)
+    assert [t.tier for t in targets] == [hdd, hdd, hdd]
+    assert len({t.node_id for t in targets}) == 3
+    assert as_tuples(targets) == oracle_place_block(policy, 64 * MB, 3, None)
+
+
+def test_dead_and_excluded_nodes_are_never_chosen():
+    policy = _policy(num_workers=4, rack_size=2)
+    nodes = policy.topology.nodes
+    nodes[0].alive = False
+    targets = policy.place_block(64 * MB, 4, nodes[0].node_id)
+    assert nodes[0].node_id not in {t.node_id for t in targets}
+    assert len(targets) == 3  # one replica per live node
+    assert as_tuples(targets) == oracle_place_block(
+        policy, 64 * MB, 4, nodes[0].node_id
+    )
+    excluded = {nodes[1].node_id, nodes[2].node_id}
+    target = pick(policy, 64 * MB, list(policy.hierarchy), excluded, set(), set(), None)
+    assert target.node_id == nodes[3].node_id
