@@ -21,7 +21,7 @@ from repro.dfs.placement import (
     PlacementTarget,
 )
 from repro.dfs.worker import Worker
-from repro.dfs.master import Master, ReadPlan, BlockRead
+from repro.dfs.master import BlockRead, FileAccess, Master, ReadPlan
 from repro.dfs.client import DFSClient
 from repro.dfs.faults import FaultEvent, FaultInjector, FaultStats
 
@@ -43,6 +43,7 @@ __all__ = [
     "OctopusPlacementPolicy",
     "Worker",
     "Master",
+    "FileAccess",
     "ReadPlan",
     "BlockRead",
     "DFSClient",

@@ -69,7 +69,7 @@ class DFSClient:
     # -- reads ---------------------------------------------------------------
     def open(self, path: str, reader_node: Optional[str] = None) -> ReadPlan:
         """Read a file; returns the plan of replicas that served it."""
-        return self._master.read_file(path, reader_node=reader_node)
+        return self._master.plan_read(path, reader_node=reader_node)
 
     # -- metadata ---------------------------------------------------------------
     def exists(self, path: str) -> bool:

@@ -1,16 +1,16 @@
 """The DFS Master: namespace + block manager + node manager + placement.
 
 The Master performs all metadata operations, drives block placement on
-file creation, selects replicas for reads, and exposes the two-phase
-transfer API the Replication Monitor uses to move or copy replicas
-between tiers (paper Fig 3).
+file creation, records file accesses, selects replicas for reads, and
+exposes the two-phase transfer API the Replication Monitor uses to move
+or copy replicas between tiers (paper Fig 3).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set
 
 from repro.cluster.hardware import TierHierarchy, TierSpec
 from repro.cluster.topology import ClusterTopology
@@ -23,6 +23,15 @@ from repro.dfs.listeners import FileSystemListener
 from repro.dfs.namespace import FSDirectory, INodeFile
 from repro.dfs.placement import PlacementPolicy, PlacementTarget
 from repro.sim.clock import Clock
+
+
+class FileAccess(NamedTuple):
+    """One recorded file access: the file and whether the *whole file*
+    had a memory replica at access time (the "based on memory
+    locations" metric of Fig 9)."""
+
+    file: INodeFile
+    memory_location: bool
 
 
 @dataclass(frozen=True)
@@ -51,9 +60,11 @@ class ReadPlan:
 
     @property
     def total_bytes(self) -> int:
+        """Bytes over all planned blocks."""
         return sum(r.block.size for r in self.reads)
 
     def bytes_by_tier(self) -> Dict[TierSpec, int]:
+        """Planned bytes per tier of the serving replica."""
         if not self.reads:
             return {}
         hierarchy = self.reads[0].replica.tier.hierarchy
@@ -83,6 +94,7 @@ class TransferTicket:
 
     @property
     def is_move(self) -> bool:
+        """True for a move (the source is dropped on commit)."""
         return self.source is not None
 
 
@@ -119,9 +131,11 @@ class Master:
 
     # -- listeners ---------------------------------------------------------
     def add_listener(self, listener: FileSystemListener) -> None:
+        """Register ``listener`` for namespace and data callbacks."""
         self._listeners.append(listener)
 
     def remove_listener(self, listener: FileSystemListener) -> None:
+        """Unregister ``listener``."""
         self._listeners.remove(listener)
 
     def _notify(self, method: str, *args) -> None:
@@ -130,12 +144,15 @@ class Master:
 
     # -- namespace passthroughs -----------------------------------------------
     def exists(self, path: str) -> bool:
+        """True if a file or directory is at ``path``."""
         return self.fs.exists(path)
 
     def get_file(self, path: str) -> INodeFile:
+        """The file at ``path``; raises if missing or a directory."""
         return self.fs.get_file(path)
 
     def get_file_by_id(self, inode_id: int) -> INodeFile:
+        """The live file with inode id ``inode_id``."""
         return self._files_by_id[inode_id]
 
     def files_by_id(self) -> Mapping[int, INodeFile]:
@@ -143,6 +160,7 @@ class Master:
         return self._files_by_id
 
     def mkdirs(self, path: str) -> None:
+        """Create a directory and any missing ancestors."""
         self.fs.mkdirs(path, creation_time=self.clock.now())
 
     # -- file creation ------------------------------------------------------------
@@ -212,24 +230,34 @@ class Master:
         return file
 
     # -- reads ---------------------------------------------------------------------
-    def read_file(self, path: str, reader_node: Optional[str] = None) -> ReadPlan:
-        """Record an access and plan which replica serves each block.
+    def read_file(self, path: str) -> FileAccess:
+        """Record an access to ``path`` and return the file-level result.
 
-        Listener order matters: ``on_file_accessed`` fires *before*
-        replica selection (upgrades are decided before the read, Sec 6),
-        but replica selection itself sees the pre-upgrade locations
-        because transfers are asynchronous.
+        Listeners see ``on_file_accessed`` *before* any replica is chosen
+        (upgrades are decided before the read, Sec 6), but replica
+        selection still sees the pre-upgrade locations because transfers
+        are asynchronous.  Callers that read blocks choose each replica
+        themselves (the scheduler does so per map task) or ask
+        :meth:`plan_read` for the whole plan.
         """
         file = self.fs.get_file(path)
         memory_location = self.blocks.file_has_tier(file, self.hierarchy.highest)
         self._notify("on_file_accessed", file)
+        return FileAccess(file, memory_location)
+
+    def plan_read(self, path: str, reader_node: Optional[str] = None) -> ReadPlan:
+        """:meth:`read_file` plus the replica that serves each block.
+
+        Each chosen replica's bytes are recorded as read from its node
+        and tier (:meth:`~repro.dfs.node_manager.NodeManager.record_read`).
+        """
+        file, memory_location = self.read_file(path)
         plan = ReadPlan(file=file, memory_location=memory_location)
+        record_read = self.node_manager.record_read
         for block in self.blocks.blocks_of(file):
             read = self.choose_replica(block, reader_node)
             plan.reads.append(read)
-            self.node_manager.record_read(
-                read.replica.node_id, read.replica.tier, block.size
-            )
+            record_read(read.replica.node_id, read.replica.tier, block.size)
         return plan
 
     def choose_replica(
@@ -426,12 +454,15 @@ class Master:
 
     # -- capacity ------------------------------------------------------------------------
     def tier_utilization(self, tier: TierSpec) -> float:
+        """Used fraction of ``tier``'s capacity."""
         return self.topology.tier_utilization(tier)
 
     def tier_used(self, tier: TierSpec) -> int:
+        """Bytes stored on ``tier``."""
         return self.topology.tier_used(tier)
 
     def tier_capacity(self, tier: TierSpec) -> int:
+        """Total capacity of ``tier``."""
         return self.topology.tier_capacity(tier)
 
     def files(self) -> List[INodeFile]:
@@ -439,4 +470,5 @@ class Master:
         return self.fs.all_files()
 
     def open_ticket_count(self) -> int:
+        """Transfers begun and not yet committed or aborted."""
         return len(self._open_tickets)

@@ -6,7 +6,7 @@ a classic tree of directories and files with POSIX-style paths.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import (
     FileAlreadyExistsError,
@@ -53,6 +53,7 @@ def parent_path(path: str) -> str:
 
 
 def basename(path: str) -> str:
+    """The last component of a path ('/' for the root)."""
     parts = split_path(path)
     return parts[-1] if parts else "/"
 
@@ -68,10 +69,12 @@ class INode:
 
     @property
     def is_file(self) -> bool:
+        """True for an :class:`INodeFile`."""
         return isinstance(self, INodeFile)
 
     @property
     def is_directory(self) -> bool:
+        """True for an :class:`INodeDirectory`."""
         return isinstance(self, INodeDirectory)
 
     @property
@@ -119,12 +122,15 @@ class INodeDirectory(INode):
 
     @property
     def children(self) -> List[INode]:
+        """The children, in insertion order (a copy)."""
         return list(self._children.values())
 
     def child(self, name: str) -> Optional[INode]:
+        """The child called ``name``, or None."""
         return self._children.get(name)
 
     def add_child(self, child: INode) -> None:
+        """Link ``child`` under this directory; its name must be free."""
         if child.name in self._children:
             raise FileAlreadyExistsError(
                 f"{child.name!r} already exists under {self.path!r}"
@@ -133,6 +139,7 @@ class INodeDirectory(INode):
         child.parent = self
 
     def remove_child(self, name: str) -> INode:
+        """Unlink and return the child called ``name``."""
         if name not in self._children:
             raise InvalidPathError(f"no child {name!r} under {self.path!r}")
         child = self._children.pop(name)
@@ -154,6 +161,10 @@ class FSDirectory:
         self.mutations = 0
         self._files_cache: Optional[List[INodeFile]] = None
         self._files_cache_at = -1
+        #: Normal path -> file, for every file in the tree: a file
+        #: lookup is one dict access instead of a walk from the root.
+        #: Kept by :meth:`create_file`, :meth:`delete` and :meth:`rename`.
+        self._file_index: Dict[str, INodeFile] = {}
 
     def _allocate_id(self) -> int:
         inode_id = self._next_inode_id
@@ -162,7 +173,14 @@ class FSDirectory:
 
     # -- lookups -------------------------------------------------------------
     def get(self, path: str) -> Optional[INode]:
-        """The inode at ``path``, or None if missing."""
+        """The inode at ``path``, or None if missing.
+
+        A file at a normal path is answered from the path index;
+        directories, misses and paths that are not normal walk the tree.
+        """
+        file = self._file_index.get(path)
+        if file is not None:
+            return file
         node: INode = self.root
         for part in split_path(path):
             if not isinstance(node, INodeDirectory):
@@ -192,6 +210,7 @@ class FSDirectory:
         return node
 
     def exists(self, path: str) -> bool:
+        """True if a file or directory is at ``path``."""
         return self.get(path) is not None
 
     # -- mutations -------------------------------------------------------------
@@ -231,6 +250,7 @@ class FSDirectory:
             replication=replication,
         )
         parent.add_child(inode)
+        self._file_index[path] = inode
         self.mutations += 1
         return inode
 
@@ -245,6 +265,8 @@ class FSDirectory:
         if isinstance(node, INodeDirectory) and node.children and not recursive:
             raise InvalidPathError(f"directory not empty: {path!r}")
         assert node.parent is not None
+        for file_path, _ in self._files_under(node, path):
+            del self._file_index[file_path]
         self.mutations += 1
         return node.parent.remove_child(node.name)
 
@@ -264,8 +286,28 @@ class FSDirectory:
         node.parent.remove_child(node.name)
         node.name = basename(dst)
         new_parent.add_child(node)
+        index = self._file_index
+        for file_path, file in self._files_under(node, src):
+            del index[file_path]
+            index[dst + file_path[len(src):]] = file
         self.mutations += 1
         return node
+
+    @staticmethod
+    def _files_under(node: INode, path: str) -> List[Tuple[str, INodeFile]]:
+        """``(path, file)`` for ``node`` (at normal ``path``) if it is a
+        file, or for every file in its subtree if it is a directory."""
+        found: List[Tuple[str, INodeFile]] = []
+        stack: List[Tuple[str, INode]] = [(path, node)]
+        while stack:
+            node_path, node = stack.pop()
+            if isinstance(node, INodeFile):
+                found.append((node_path, node))
+            elif isinstance(node, INodeDirectory):
+                stack.extend(
+                    (f"{node_path}/{child.name}", child) for child in node.children
+                )
+        return found
 
     # -- iteration ----------------------------------------------------------------
     def list_dir(self, path: str) -> List[INode]:
@@ -301,4 +343,5 @@ class FSDirectory:
         return self._files_cache
 
     def file_count(self) -> int:
+        """The number of files in the tree."""
         return sum(1 for _ in self.iter_files())

@@ -32,10 +32,12 @@ class NodeStats:
 
     @property
     def total_bytes_read(self) -> int:
+        """Bytes read from this node, over all tiers."""
         return sum(self.bytes_read.values())
 
     @property
     def total_bytes_written(self) -> int:
+        """Bytes written to this node, over all tiers."""
         return sum(self.bytes_written.values())
 
 
@@ -50,24 +52,31 @@ class NodeManager:
 
     @property
     def topology(self) -> ClusterTopology:
+        """The cluster whose nodes are tracked."""
         return self._topology
 
     def stats(self, node_id: str) -> NodeStats:
+        """The live counters of ``node_id``."""
         return self._stats[node_id]
 
     # -- recording --------------------------------------------------------
     def record_read(self, node_id: str, tier: TierSpec, num_bytes: int) -> None:
+        """Count ``num_bytes`` read from the replica on ``node_id``'s ``tier``
+        (a map task's block, or one of :meth:`~repro.dfs.master.Master.plan_read`)."""
         self._stats[node_id].bytes_read[tier] += num_bytes
 
     def record_write(self, node_id: str, tier: TierSpec, num_bytes: int) -> None:
+        """Count ``num_bytes`` written to a replica on ``node_id``'s ``tier``."""
         self._stats[node_id].bytes_written[tier] += num_bytes
 
     def transfer_started(self, node_id: str) -> None:
+        """Count one more in-flight transfer touching ``node_id``."""
         stats = self._stats[node_id]
         stats.active_transfers += 1
         stats.total_transfers += 1
 
     def transfer_finished(self, node_id: str) -> None:
+        """Count one in-flight transfer on ``node_id`` as done."""
         stats = self._stats[node_id]
         if stats.active_transfers <= 0:
             raise ValueError(f"transfer count underflow on {node_id}")
@@ -91,7 +100,9 @@ class NodeManager:
 
     # -- aggregates ------------------------------------------------------------
     def cluster_bytes_read(self, tier: TierSpec) -> int:
+        """Bytes read from ``tier`` across the cluster."""
         return sum(s.bytes_read.get(tier, 0) for s in self._stats.values())
 
     def cluster_bytes_written(self, tier: TierSpec) -> int:
+        """Bytes written to ``tier`` across the cluster."""
         return sum(s.bytes_written.get(tier, 0) for s in self._stats.values())

@@ -183,7 +183,7 @@ class DfsioRunner:
                 return
             path = queue.pop(0)
             start = sim.now()
-            plan = self.runner.master.read_file(path, reader_node=node_id)
+            plan = self.runner.master.plan_read(path, reader_node=node_id)
             remaining = [len(plan.reads)]
             size = plan.total_bytes
 

@@ -38,7 +38,7 @@ never reach.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,20 @@ from repro.sim.simulator import Event, Simulator
 #: progressive-filling computation (guards float residue only).
 _SATURATION_SLACK = 1e-9
 
+
+def _fold(values: Iterable[float]) -> float:
+    """Left-to-right float sum: ``((0.0 + a) + b) + ...``.
+
+    Both solvers sum weights with this fold, never with builtin
+    ``sum()``, whose float result is compensated from Python 3.12 on.
+    A compensated seed would disagree with the solver's ``+=`` refresh
+    and make rates depend on the interpreter version.  On Python 3.11
+    the fold equals ``sum()``.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 class Resource:
     """One capacity-bearing element of the I/O graph.
@@ -157,7 +171,7 @@ def compute_max_min_rates_reference(flows: Sequence[Flow]) -> Dict[Flow, float]:
         best_level: Optional[float] = None
         best_resource: Optional[Resource] = None
         for resource in order:
-            weight_sum = sum(w for f, w in users[resource] if f in unfixed)
+            weight_sum = _fold(w for f, w in users[resource] if f in unfixed)
             if weight_sum <= 0.0:
                 continue
             candidate = level + max(remaining[resource], 0.0) / weight_sum
@@ -172,7 +186,7 @@ def compute_max_min_rates_reference(flows: Sequence[Flow]) -> Dict[Flow, float]:
             break
         delta = best_level - level
         for resource in order:
-            weight_sum = sum(w for f, w in users[resource] if f in unfixed)
+            weight_sum = _fold(w for f, w in users[resource] if f in unfixed)
             if weight_sum > 0.0:
                 remaining[resource] -= delta * weight_sum
         remaining[best_resource] = 0.0  # kill float residue at the bottleneck
@@ -215,6 +229,11 @@ def compute_max_min_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
     user_flows: List[List[int]] = []  # per resource: flow positions
     user_weights: List[List[float]] = []  # per resource: matching weights
     flow_resources: List[List[int]] = []  # per flow: resource indices
+    # Cached per-resource weight sums over unfixed flows.  The initial
+    # fold (accumulated here, in link order) and every dirty refresh use
+    # the reference's exact left-to-right summation (:func:`_fold`), so
+    # each cached value equals what a fresh rescan would produce.
+    weight_sums: List[float] = []
     for pos, flow in enumerate(flows):
         indices: List[int] = []
         for resource, weight in flow.links:
@@ -225,19 +244,16 @@ def compute_max_min_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
                 threshold.append(_SATURATION_SLACK * resource.capacity)
                 user_flows.append([])
                 user_weights.append([])
+                weight_sums.append(0.0)
             user_flows[i].append(pos)
             user_weights[i].append(weight)
+            weight_sums[i] += weight
             indices.append(i)
         flow_resources.append(indices)
     num_res = len(remaining)
     unfixed = [True] * num_flows
     unfixed_count = num_flows
     rate_of = [0.0] * num_flows
-    # Cached per-resource weight sums over unfixed flows.  The initial
-    # fold and every dirty refresh use the reference's exact left-to-
-    # right summation (int 0 start, link order), so each cached value
-    # equals what a fresh rescan would produce.
-    weight_sums: List[float] = [sum(ws) for ws in user_weights]
     level = 0.0
     while unfixed_count:
         best_level: Optional[float] = None
@@ -588,6 +604,7 @@ class FairShareEngine:
     # -- introspection -------------------------------------------------------
     @property
     def active_flows(self) -> int:
+        """Flows admitted and not yet finished."""
         return len(self._flows)
 
     def flows_crossing(self, resource: Resource) -> int:

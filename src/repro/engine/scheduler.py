@@ -136,6 +136,13 @@ class TaskScheduler:
         self.topology: ClusterTopology = master.topology
         self.iomodel = iomodel
         self.metrics = metrics
+        low, high = task_overhead
+        if not 0.0 <= high - low < float("inf"):
+            # The range numpy's ``Generator.uniform`` would reject.
+            raise ValueError(
+                f"task_overhead must be finite (low, high), low <= high: "
+                f"{task_overhead!r}"
+            )
         self.task_overhead = task_overhead
         self.on_job_finished = on_job_finished
         #: Whether locality preference considers replica *tier* (prefer
@@ -199,11 +206,13 @@ class TaskScheduler:
 
     # -- failure hooks (driven by the fault injector) ----------------------------
     def on_node_failed(self, node_id: str) -> None:
+        """Keep new tasks off ``node_id``; running ones finish."""
         if node_id not in self._dead:
             self._free_total -= self.free_slots(node_id)
             self._dead.add(node_id)
 
     def on_node_recovered(self, node_id: str) -> None:
+        """Offer ``node_id``'s free slots again and dispatch."""
         if node_id in self._dead:
             self._dead.discard(node_id)
             self._free_total += self.free_slots(node_id)
@@ -223,11 +232,12 @@ class TaskScheduler:
                 self.missing_inputs += 1
                 continue
             # Fires access notifications (statistics + upgrade policies)
-            # and records the location-based hit ratio.
-            plan = self.master.read_file(path)
+            # and records the location-based hit ratio; each map task
+            # chooses its own replica when it starts.
+            file, memory_location = self.master.read_file(path)
             for sink in sinks:
-                sink.record_file_access(plan.memory_location, plan.file.size)
-            blocks.extend(self.master.blocks.blocks_of(plan.file))
+                sink.record_file_access(memory_location, file.size)
+            blocks.extend(self.master.blocks.blocks_of(file))
         execution.maps_remaining = len(blocks)
         execution.outputs_remaining = len(job.outputs)
         if self.tracer is not None:
@@ -300,6 +310,13 @@ class TaskScheduler:
                 best_free = free
         return best
 
+    def _overhead(self) -> float:
+        """One task-overhead draw: the double ``Generator.uniform(low,
+        high)`` returns (numpy computes ``low + (high - low) * u`` from
+        the same next double ``u``), without the numpy call."""
+        low, high = self.task_overhead
+        return low + (high - low) * self._rng.random()
+
     # -- map task execution ---------------------------------------------------------
     def _start_map(self, task: _MapTask, node_id: str) -> None:
         block = task.block
@@ -309,12 +326,13 @@ class TaskScheduler:
         replica = self.master.choose_replica(block, node_id).replica
         remote = replica.node_id != node_id
         task.tier = replica.tier
+        self.master.node_manager.record_read(replica.node_id, replica.tier, block.size)
         cpu = task.job.trace_job.cpu_seconds_per_byte * block.size
         if self.iomodel.fairshare:
             # The flow engine owns I/O completion; CPU crunch and task
             # overhead run after the last byte lands (and no longer hold
             # the device, unlike the snapshot approximation).
-            task.delay = cpu + float(self._rng.uniform(*self.task_overhead))
+            task.delay = cpu + self._overhead()
             self.iomodel.read(
                 block.size,
                 replica.device_id,
@@ -328,7 +346,7 @@ class TaskScheduler:
         duration, task.release = self.iomodel.start_read(
             block.size, replica.device_id, remote, node_id, replica.node_id
         )
-        overhead = float(self._rng.uniform(*self.task_overhead))
+        overhead = self._overhead()
         self.sim.after(duration + cpu + overhead, task.finish_snapshot, name=task.name)
 
     def _map_finished(self, task: _MapTask) -> None:
@@ -392,7 +410,7 @@ class TaskScheduler:
                     )
                 )
         if self.iomodel.fairshare:
-            task.delay = float(self._rng.uniform(*self.task_overhead))
+            task.delay = self._overhead()
             for sink in job.sinks:
                 sink.record_write(total_size)
             if not legs:
@@ -416,7 +434,7 @@ class TaskScheduler:
             )
         else:
             duration, task.release = 0.0, lambda: None
-        overhead = float(self._rng.uniform(*self.task_overhead))
+        overhead = self._overhead()
         for sink in job.sinks:
             sink.record_write(total_size)
         self.sim.after(duration + overhead, task.finish_snapshot, name=task.name)
@@ -460,4 +478,5 @@ class TaskScheduler:
 
     @property
     def idle(self) -> bool:
+        """True when no job is active and no task is queued."""
         return self.active_jobs == 0 and not self._pending

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import flows as flows_module
 from repro.engine.flows import (
     FairShareEngine,
     Flow,
@@ -17,6 +19,14 @@ from repro.engine.flows import (
     compute_max_min_rates_vectorized,
 )
 from repro.sim.simulator import Simulator
+
+
+#: Link weights the engine really uses (reads weigh 1.0, writes
+#: ``read_bw / write_bw``).  Unlike 1.0/1.5/2.0, their partial sums are
+#: not exact, so a solver that sums in a different order shows up.
+PRODUCTION_WEIGHTS = (1.0, 1.1818181818181819, 1.2857142857142858, 1.5)
+#: What the random solver scenarios draw link weights from.
+SCENARIO_WEIGHTS = (0.5, 2.0) + PRODUCTION_WEIGHTS
 
 
 def make_scenario(seed: int, num_resources: int, num_flows: int):
@@ -29,9 +39,43 @@ def make_scenario(seed: int, num_resources: int, num_flows: int):
     for i in range(num_flows):
         count = rng.randint(1, min(4, num_resources))
         picked = rng.sample(resources, count)
-        links = [(r, rng.choice([1.0, 1.5, 2.0, 0.5])) for r in picked]
+        links = [(r, rng.choice(SCENARIO_WEIGHTS)) for r in picked]
         flows.append(Flow(i + 1, 1000.0, links, lambda: None, name=f"f{i}"))
     return resources, flows
+
+
+class TestWeightFold:
+    """Weight sums are a left-to-right fold, whatever ``sum()`` does."""
+
+    TRIPLE = (1.0, 1.1818181818181819, 1.1818181818181819)
+
+    def test_fold_of_the_production_triple_is_pinned(self):
+        assert flows_module._fold(self.TRIPLE) == 3.3636363636363633
+        # A compensated sum (Python >= 3.12 ``sum()``) rounds it the
+        # other way; the solvers must not use one.
+        assert math.fsum(self.TRIPLE) == 3.3636363636363638
+
+    def test_solvers_divide_by_the_folded_sum(self):
+        resource = Resource("dev", 1000.0)
+        flows = [
+            Flow(i + 1, 1000.0, [(resource, w)], lambda: None)
+            for i, w in enumerate(self.TRIPLE)
+        ]
+        expected = 1000.0 / 3.3636363636363633
+        for solver in (compute_max_min_rates, compute_max_min_rates_reference):
+            rates = solver(flows)
+            assert all(rates[f] == expected for f in flows)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rates_ignore_a_compensated_sum(self, monkeypatch, seed):
+        _, flows = make_scenario(seed, 6, 40)
+        before = compute_max_min_rates(flows)
+        oracle = compute_max_min_rates_reference(flows)
+        # Shadow the builtin inside the module, as Python 3.12's
+        # compensated ``sum()`` would replace it.
+        monkeypatch.setattr(flows_module, "sum", math.fsum, raising=False)
+        assert compute_max_min_rates(flows) == before
+        assert compute_max_min_rates_reference(flows) == oracle == before
 
 
 class TestSolverProperties:
@@ -222,7 +266,7 @@ def _replay_random_scenario(engine_cls, seed: int):
     log = []
     for i in range(60):
         links = [
-            (r, rng.choice([1.0, 1.5, 2.0]))
+            (r, rng.choice(SCENARIO_WEIGHTS[1:]))
             for r in rng.sample(resources, rng.randint(1, 3))
         ]
         size = rng.uniform(100.0, 5000.0)

@@ -80,20 +80,47 @@ class TestCreateFile:
 class TestReadFile:
     def test_read_plan_covers_all_blocks(self, master):
         master.create_file("/f", 300 * MB)
-        plan = master.read_file("/f")
+        plan = master.plan_read("/f")
         assert len(plan.reads) == 3
         assert plan.total_bytes == 300 * MB
 
     def test_reads_prefer_memory_without_reader_context(self, master):
         master.create_file("/f", 128 * MB)
-        plan = master.read_file("/f")
+        plan = master.plan_read("/f")
         assert plan.reads[0].replica.tier is StorageTier.MEMORY
         assert plan.memory_access
 
     def test_memory_location_flag(self, master):
         master.create_file("/f", 128 * MB)
-        plan = master.read_file("/f")
+        plan = master.plan_read("/f")
         assert plan.memory_location  # octopus put one replica in memory
+
+    def test_read_file_is_the_file_level_access(self, master):
+        file = master.create_file("/f", 300 * MB)
+        access = master.read_file("/f")
+        assert access.file is file
+        assert access.memory_location
+        # No replica is chosen, so no node is credited with a read.
+        nm = master.node_manager
+        assert all(
+            nm.stats(n.node_id).total_bytes_read == 0 for n in master.topology.nodes
+        )
+
+    def test_plan_read_records_the_planned_replicas(self, master):
+        master.create_file("/f", 300 * MB)
+        plan = master.plan_read("/f")
+        expected = {}
+        for read in plan.reads:
+            key = (read.replica.node_id, read.replica.tier)
+            expected[key] = expected.get(key, 0) + read.block.size
+        nm = master.node_manager
+        recorded = {
+            (n.node_id, tier): nm.stats(n.node_id).bytes_read[tier]
+            for n in master.topology.nodes
+            for tier in master.hierarchy
+            if nm.stats(n.node_id).bytes_read[tier]
+        }
+        assert recorded == expected
 
     def test_local_replica_preferred_over_faster_remote(self, master):
         file = master.create_file("/f", 64 * MB)
@@ -113,10 +140,12 @@ class TestReadFile:
     def test_missing_file_raises(self, master):
         with pytest.raises(InvalidPathError):
             master.read_file("/missing")
+        with pytest.raises(InvalidPathError):
+            master.plan_read("/missing")
 
     def test_bytes_by_tier_accounting(self, master):
         master.create_file("/f", 128 * MB)
-        plan = master.read_file("/f")
+        plan = master.plan_read("/f")
         by_tier = plan.bytes_by_tier()
         assert by_tier[StorageTier.MEMORY] == 128 * MB
 

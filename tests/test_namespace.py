@@ -1,10 +1,13 @@
 """Tests for the hierarchical namespace (FS directory)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import FileAlreadyExistsError, InvalidPathError
 from repro.dfs.namespace import (
     FSDirectory,
+    INodeDirectory,
     basename,
     normalize_path,
     parent_path,
@@ -142,3 +145,88 @@ class TestFSDirectory:
             fs.create_file("/x", creation_time=0.0, replication=0)
         with pytest.raises(InvalidPathError):
             fs.create_file("/y", creation_time=0.0, size=-1)
+
+
+def walk_get(fs, path):
+    """The inode at ``path`` found by walking the tree from the root."""
+    node = fs.root
+    for part in split_path(path):
+        if not isinstance(node, INodeDirectory):
+            return None
+        node = node.child(part)
+        if node is None:
+            return None
+    return node
+
+
+def tree_paths(fs):
+    """Every path in the tree but the root, sorted."""
+    found = []
+    stack = [("", fs.root)]
+    while stack:
+        prefix, node = stack.pop()
+        for child in node.children:
+            path = f"{prefix}/{child.name}"
+            found.append(path)
+            if isinstance(child, INodeDirectory):
+                stack.append((path, child))
+    return sorted(found)
+
+
+def _paths(names):
+    return st.lists(st.sampled_from(names), min_size=1, max_size=3).map(
+        lambda parts: "/" + "/".join(parts)
+    )
+
+
+_OPS = ("mkdirs", "create", "create", "delete", "delete-r", "rename")
+
+
+class TestPathIndex:
+    """The flat path -> file index always agrees with the tree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_index_equals_tree_walk(self, data):
+        # Two names and shallow trees, so operations often collide;
+        # deletes and renames mostly target existing entries, and a
+        # rename target may use a third name, so it is often free.
+        fs = FSDirectory()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+            op = data.draw(st.sampled_from(_OPS))
+            existing = tree_paths(fs)
+            if existing and op in ("delete", "delete-r", "rename"):
+                path = data.draw(st.sampled_from(existing) | _paths("ab"))
+            else:
+                path = data.draw(_paths("ab"))
+            other = data.draw(_paths("abm"))
+            try:
+                if op == "mkdirs":
+                    fs.mkdirs(path)
+                elif op == "create":
+                    fs.create_file(path, creation_time=0.0)
+                elif op == "delete":
+                    fs.delete(path)
+                elif op == "delete-r":
+                    fs.delete(path, recursive=True)
+                else:
+                    fs.rename(path, other)
+            except (FileAlreadyExistsError, InvalidPathError):
+                pass
+            walked = {file.path: file for file in fs.iter_files()}
+            assert fs._file_index == walked
+            for probe in (path, other, path + "/", "/" + path, "/"):
+                assert fs.get(probe) is walk_get(fs, probe)
+
+    def test_renamed_directory_rekeys_its_files(self):
+        fs = FSDirectory()
+        file = fs.create_file("/a/b/f", creation_time=0.0)
+        other = fs.create_file("/a/g", creation_time=0.0)
+        fs.rename("/a", "/x/y")
+        assert fs.get("/x/y/b/f") is file
+        assert fs.get("/x/y/g") is other
+        assert fs.get("/a/b/f") is None
+        assert fs.get("/a/g") is None
+        fs.delete("/x", recursive=True)
+        assert fs.get("/x/y/b/f") is None
+        assert fs._file_index == {}

@@ -1,9 +1,14 @@
 """Deeper scheduler behaviour tests: slots, outputs, ordering."""
 
 import itertools
+from collections import Counter
+
+import numpy as np
+import pytest
 
 from repro.common.units import MB
 from repro.engine import SystemConfig, WorkloadRunner
+from repro.engine.scheduler import TaskScheduler
 from repro.workload import FileCreation, OutputSpec, Trace, TraceJob
 
 
@@ -133,3 +138,130 @@ class TestMetricsConsistency:
         ]
         _, result = run_trace(trace)
         assert result.metrics.file_accesses == 4
+
+
+def read_trace(jobs=6, outputs=True):
+    """Jobs re-reading a few multi-block inputs, optionally with outputs."""
+    trace = Trace(name="t", duration=200.0)
+    trace.creations = [
+        FileCreation(f"/in{i}", (i + 1) * 100 * MB, 0.0) for i in range(3)
+    ]
+    trace.jobs = [
+        TraceJob(
+            j,
+            1.0 + 7.0 * j,
+            [f"/in{j % 3}", f"/in{(j + 1) % 3}"],
+            300 * MB,
+            [OutputSpec(f"/out{j}", 64 * MB)] if outputs else [],
+            cpu_seconds_per_byte=1e-8,
+        )
+        for j in range(jobs)
+    ]
+    return trace
+
+
+class TestPerTaskReads:
+    """Each map task chooses its replica once, and that replica's read
+    is the one the node statistics record."""
+
+    @pytest.mark.parametrize("io_model", ["snapshot", "fairshare"])
+    @pytest.mark.parametrize("tier_aware", [True, False])
+    def test_one_replica_choice_per_map_task(self, io_model, tier_aware):
+        runner = WorkloadRunner(
+            read_trace(),
+            SystemConfig(
+                label="t", placement="octopus", workers=3, task_slots=2,
+                io_model=io_model, tier_aware_scheduler=tier_aware,
+            ),
+        )
+        master, scheduler = runner.master, runner.scheduler
+        chosen = []
+        started = []
+        choose_replica = master.choose_replica
+        start_map = scheduler._start_map
+
+        def counting_choose(block, reader_node):
+            read = choose_replica(block, reader_node)
+            chosen.append(read)
+            return read
+
+        def counting_start(task, node_id):
+            started.append(task)
+            start_map(task, node_id)
+
+        master.choose_replica = counting_choose
+        scheduler._start_map = counting_start
+        result = runner.run()
+        assert result.jobs_finished == 6
+        assert len(started) == result.metrics.task_reads > 0
+        assert len(chosen) == len(started)
+        assert [r.block for r in chosen] == [t.block for t in started]
+        # bytes_read per (node, tier) is exactly what the map tasks read
+        # from that node's replicas.
+        expected = Counter()
+        for read in chosen:
+            expected[read.replica.node_id, read.replica.tier] += read.block.size
+        recorded = Counter()
+        for node in runner.topology.nodes:
+            stats = master.node_manager.stats(node.node_id)
+            for tier, size in stats.bytes_read.items():
+                if size:
+                    recorded[node.node_id, tier] += size
+        assert recorded == expected
+        assert sum(recorded.values()) == result.metrics.bytes_read
+
+    @pytest.mark.parametrize(
+        "low, high", [(0.5, 2.0), (0.0, 0.0), (1, 3), (0.0, 1e-9), (-1.5, 7.25)]
+    )
+    def test_overhead_draws_equal_generator_uniform(self, low, high):
+        runner = WorkloadRunner(
+            Trace(name="t", duration=1.0), SystemConfig(label="t", workers=2)
+        )
+        scheduler = runner.scheduler
+        scheduler.task_overhead = (low, high)
+        for seed in (0, 3, 42):
+            scheduler._rng = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            for _ in range(2000):
+                draw = scheduler._overhead()
+                assert type(draw) is float
+                assert draw == float(reference.uniform(low, high))
+
+    def test_start_map_overheads_follow_the_uniform_stream(self):
+        # Fair-share pricing with no CPU term: each map task's remaining
+        # delay is its overhead draw alone, in start order.
+        trace = read_trace(outputs=False)
+        for job in trace.jobs:
+            job.cpu_seconds_per_byte = 0.0
+        runner = WorkloadRunner(
+            trace,
+            SystemConfig(
+                label="t", placement="octopus", workers=3, task_slots=2,
+                io_model="fairshare", tier_aware_scheduler=True, seed=11,
+            ),
+        )
+        scheduler = runner.scheduler
+        scheduler.task_overhead = (0.25, 3.5)
+        delays = []
+        start_map = scheduler._start_map
+
+        def recording_start(task, node_id):
+            start_map(task, node_id)
+            delays.append(task.delay)
+
+        scheduler._start_map = recording_start
+        runner.run()
+        reference = np.random.default_rng(11)
+        assert delays
+        assert delays == [float(reference.uniform(0.25, 3.5)) for _ in delays]
+
+    @pytest.mark.parametrize("overhead", [(2.0, 0.5), (0.0, float("inf"))])
+    def test_rejects_a_range_uniform_would_reject(self, overhead):
+        runner = WorkloadRunner(
+            Trace(name="t", duration=1.0), SystemConfig(label="t", workers=2)
+        )
+        with pytest.raises(ValueError):
+            TaskScheduler(
+                runner.sim, runner.master, runner.iomodel, runner.metrics,
+                task_overhead=overhead,
+            )
