@@ -6,7 +6,7 @@ a classic tree of directories and files with POSIX-style paths.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.common.errors import (
     FileAlreadyExistsError,
@@ -265,8 +265,8 @@ class FSDirectory:
         if isinstance(node, INodeDirectory) and node.children and not recursive:
             raise InvalidPathError(f"directory not empty: {path!r}")
         assert node.parent is not None
-        for file_path, _ in self._files_under(node, path):
-            del self._file_index[file_path]
+        for file in self.iter_files(path):
+            del self._file_index[file.path]
         self.mutations += 1
         return node.parent.remove_child(node.name)
 
@@ -287,27 +287,12 @@ class FSDirectory:
         node.name = basename(dst)
         new_parent.add_child(node)
         index = self._file_index
-        for file_path, file in self._files_under(node, src):
-            del index[file_path]
-            index[dst + file_path[len(src):]] = file
+        for file in self.iter_files(dst):
+            file_path = file.path
+            del index[src + file_path[len(dst) :]]
+            index[file_path] = file
         self.mutations += 1
         return node
-
-    @staticmethod
-    def _files_under(node: INode, path: str) -> List[Tuple[str, INodeFile]]:
-        """``(path, file)`` for ``node`` (at normal ``path``) if it is a
-        file, or for every file in its subtree if it is a directory."""
-        found: List[Tuple[str, INodeFile]] = []
-        stack: List[Tuple[str, INode]] = [(path, node)]
-        while stack:
-            node_path, node = stack.pop()
-            if isinstance(node, INodeFile):
-                found.append((node_path, node))
-            elif isinstance(node, INodeDirectory):
-                stack.extend(
-                    (f"{node_path}/{child.name}", child) for child in node.children
-                )
-        return found
 
     # -- iteration ----------------------------------------------------------------
     def list_dir(self, path: str) -> List[INode]:

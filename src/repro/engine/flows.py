@@ -63,6 +63,7 @@ def _fold(values: Iterable[float]) -> float:
         total += value
     return total
 
+
 class Resource:
     """One capacity-bearing element of the I/O graph.
 

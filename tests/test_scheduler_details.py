@@ -170,8 +170,12 @@ class TestPerTaskReads:
         runner = WorkloadRunner(
             read_trace(),
             SystemConfig(
-                label="t", placement="octopus", workers=3, task_slots=2,
-                io_model=io_model, tier_aware_scheduler=tier_aware,
+                label="t",
+                placement="octopus",
+                workers=3,
+                task_slots=2,
+                io_model=io_model,
+                tier_aware_scheduler=tier_aware,
             ),
         )
         master, scheduler = runner.master, runner.scheduler
@@ -236,8 +240,13 @@ class TestPerTaskReads:
         runner = WorkloadRunner(
             trace,
             SystemConfig(
-                label="t", placement="octopus", workers=3, task_slots=2,
-                io_model="fairshare", tier_aware_scheduler=True, seed=11,
+                label="t",
+                placement="octopus",
+                workers=3,
+                task_slots=2,
+                io_model="fairshare",
+                tier_aware_scheduler=True,
+                seed=11,
             ),
         )
         scheduler = runner.scheduler
@@ -262,6 +271,9 @@ class TestPerTaskReads:
         )
         with pytest.raises(ValueError):
             TaskScheduler(
-                runner.sim, runner.master, runner.iomodel, runner.metrics,
+                runner.sim,
+                runner.master,
+                runner.iomodel,
+                runner.metrics,
                 task_overhead=overhead,
             )

@@ -14,8 +14,8 @@ seconds, events processed, committed transfers) must be identical
 between the revisions, or the tool stops: a speedup that moves a
 simulated value is not a speedup.
 
-Workloads (input ``i`` of seed ``s`` uses seed ``s + 1000 i``, which is
-also the system seed):
+Workloads (a run replays three inputs; input ``i`` of seed ``s`` uses
+seed ``s + 1000 i``, which is also the system seed):
 
 * ``snap`` -- FB profile x1, LRU + OSA, snapshot pricing;
 * ``fair`` -- FB profile x0.5, LRU + OSA, fair-share pricing;
@@ -53,6 +53,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "WORKTREE"
 
 _IMPORT_RE = re.compile(r"\b(from|import)(\s+)repro\b")
+
+#: Inputs replayed per run.
+INPUTS = 3
 
 #: ``(scenario or None, scale, io_model)`` per workload.
 WORKLOADS = {
@@ -144,11 +147,10 @@ def main(argv=None) -> int:
     parser.add_argument("rev_b", help="changed revision (or WORKTREE)")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--inputs", type=int, default=3, help="inputs per run")
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
 
-    seeds = [args.seed + 1000 * i for i in range(args.inputs)]
+    seeds = [args.seed + 1000 * i for i in range(INPUTS)]
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as tmp:
         dest = Path(tmp)
         export(args.rev_a, "repro_a", dest)
