@@ -38,30 +38,16 @@ never reach.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.common.floats import fold_sum
 from repro.sim.simulator import Event, Simulator
 
 #: Relative slack used to decide that a resource is saturated during the
 #: progressive-filling computation (guards float residue only).
 _SATURATION_SLACK = 1e-9
-
-
-def _fold(values: Iterable[float]) -> float:
-    """Left-to-right float sum: ``((0.0 + a) + b) + ...``.
-
-    Both solvers sum weights with this fold, never with builtin
-    ``sum()``, whose float result is compensated from Python 3.12 on.
-    A compensated seed would disagree with the solver's ``+=`` refresh
-    and make rates depend on the interpreter version.  On Python 3.11
-    the fold equals ``sum()``.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 class Resource:
@@ -172,7 +158,7 @@ def compute_max_min_rates_reference(flows: Sequence[Flow]) -> Dict[Flow, float]:
         best_level: Optional[float] = None
         best_resource: Optional[Resource] = None
         for resource in order:
-            weight_sum = _fold(w for f, w in users[resource] if f in unfixed)
+            weight_sum = fold_sum(w for f, w in users[resource] if f in unfixed)
             if weight_sum <= 0.0:
                 continue
             candidate = level + max(remaining[resource], 0.0) / weight_sum
@@ -187,7 +173,7 @@ def compute_max_min_rates_reference(flows: Sequence[Flow]) -> Dict[Flow, float]:
             break
         delta = best_level - level
         for resource in order:
-            weight_sum = _fold(w for f, w in users[resource] if f in unfixed)
+            weight_sum = fold_sum(w for f, w in users[resource] if f in unfixed)
             if weight_sum > 0.0:
                 remaining[resource] -= delta * weight_sum
         remaining[best_resource] = 0.0  # kill float residue at the bottleneck
@@ -232,8 +218,9 @@ def compute_max_min_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
     flow_resources: List[List[int]] = []  # per flow: resource indices
     # Cached per-resource weight sums over unfixed flows.  The initial
     # fold (accumulated here, in link order) and every dirty refresh use
-    # the reference's exact left-to-right summation (:func:`_fold`), so
-    # each cached value equals what a fresh rescan would produce.
+    # the reference's exact left-to-right summation (``fold_sum``, never
+    # a compensated ``sum()``), so each cached value equals what a fresh
+    # rescan would produce, on any Python version.
     weight_sums: List[float] = []
     for pos, flow in enumerate(flows):
         indices: List[int] = []

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.cluster.hardware import DEFAULT_HIERARCHY, TierHierarchy, TierSpec
+from repro.common.floats import fold_sum
 from repro.workload.bins import BIN_NAMES
 
 
@@ -119,7 +120,8 @@ class MetricsCollector:
         return self.location_bytes_memory / self.location_bytes
 
     def total_task_seconds(self) -> float:
-        return sum(b.task_seconds for b in self.bins.values())
+        """Task execution time summed over every bin (Fig 7's numerator)."""
+        return fold_sum(b.task_seconds for b in self.bins.values())
 
     def mean_completion_times(self) -> Dict[str, float]:
         return {name: b.mean_completion_time for name, b in self.bins.items()}
@@ -128,7 +130,7 @@ class MetricsCollector:
         """Per-bin fraction of bytes served from each tier (Fig 8)."""
         result: Dict[str, Dict[TierSpec, float]] = {}
         for name, bin_metrics in self.bins.items():
-            total = sum(bin_metrics.bytes_by_tier.values())
+            total = fold_sum(bin_metrics.bytes_by_tier.values())
             result[name] = {
                 t: (bin_metrics.bytes_by_tier.get(t, 0) / total if total else 0.0)
                 for t in self.hierarchy

@@ -196,10 +196,10 @@ class FileAccessModel:
         y = np.array([p.label for p in self._replay])
         if len(np.unique(y)) < 2:
             return
-        # A handful of extra rounds: the reservoir holds much more data
-        # than one batch, so a single fit recovers the accumulated model.
-        self.model.fit(X, y)
-        self.model.fit_increment(X, y, num_rounds=self.model.params.num_rounds)
+        # Twice the rounds of one batch: the reservoir holds much more
+        # data than one batch.
+        self.model.trees = []
+        self.model.fit_increment(X, y, num_rounds=2 * self.model.params.num_rounds)
 
     # -- explicit training (RETRAIN / ONESHOT modes) -----------------------------
     def train_now(self) -> bool:

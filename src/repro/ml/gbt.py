@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.ml.tree import RegressionTree, TreeParams
+from repro.ml.tree import FlatForest, RegressionTree, TreeParams, presort
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -56,6 +56,7 @@ class GBTParams:
     max_trees: Optional[int] = None
 
     def tree_params(self) -> TreeParams:
+        """The growth parameters of each round's tree."""
         return TreeParams(
             max_depth=self.max_depth,
             reg_lambda=self.reg_lambda,
@@ -70,6 +71,10 @@ class GradientBoostedTrees:
 
     params: GBTParams = field(default_factory=GBTParams)
     trees: List[RegressionTree] = field(default_factory=list)
+    #: ``trees`` flattened for batch prediction; follows ``trees``.
+    _forest: Optional[FlatForest] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- training ----------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
@@ -99,12 +104,13 @@ class GradientBoostedTrees:
         rounds = self.params.num_rounds if num_rounds is None else num_rounds
         margin = self.predict_margin(X)
         tree_params = self.params.tree_params()
+        presorted = presort(X)
         for _ in range(rounds):
             prob = sigmoid(margin)
             grad = prob - y
             hess = np.maximum(prob * (1.0 - prob), 1e-16)
             tree = RegressionTree(tree_params)
-            leaves = tree.fit_predict(X, grad, hess)
+            leaves = tree.fit_predict(X, grad, hess, presorted)
             self.trees.append(tree)
             margin = margin + self.params.learning_rate * leaves
         return self
@@ -118,6 +124,7 @@ class GradientBoostedTrees:
     # -- prediction -----------------------------------------------------------
     @property
     def base_margin(self) -> float:
+        """The margin before any tree: the log-odds of ``base_score``."""
         p = self.params.base_score
         return float(np.log(p / (1.0 - p)))
 
@@ -137,8 +144,14 @@ class GradientBoostedTrees:
                 margin_one += lr * tree.predict_row(row)
             return np.array([margin_one])
         margin = np.full(len(X), self.base_margin)
-        for tree in self.trees:
-            margin += self.params.learning_rate * tree.predict(X)
+        if self.trees:
+            if self._forest is None:
+                self._forest = FlatForest()
+            leaves = self._forest.sync(self.trees).leaf_values(X)
+            # Every tree's leaves at once, then added tree by tree: the
+            # order of per-tree sums.
+            for tree_part in self.params.learning_rate * leaves:
+                margin += tree_part
         return margin
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -156,10 +169,12 @@ class GradientBoostedTrees:
     # -- introspection -----------------------------------------------------------
     @property
     def num_trees(self) -> int:
+        """Trees in the ensemble."""
         return len(self.trees)
 
     @property
     def is_fitted(self) -> bool:
+        """True once the ensemble holds a tree."""
         return bool(self.trees)
 
     def feature_usage(self) -> List[int]:

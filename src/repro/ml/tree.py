@@ -11,44 +11,48 @@ The split search is the exact greedy algorithm, vectorized across
 features so that a node costs a few dozen numpy calls however many
 features there are:
 
-* **Presort once per fit.**  ``fit`` argsorts every feature column once
-  (stable, NaN last) and hands each node an ``(F, n)`` matrix holding the
-  node's row ids in per-feature sorted order.  A stable sort restricted
-  to a subset is the stable sort of that subset, so splitting the matrix
-  with one boolean lookup per node keeps every row exactly where a
-  per-node argsort would put it.
-* **All candidates at once.**  A node takes prefix sums along the sorted
-  axis, the gains of every (feature, default direction, boundary)
-  candidate, and one flat ``argmax`` over them.  Its first-maximum
-  tie-break is the per-feature loop's: lower feature first, then
-  default-left before default-right, then the leftmost boundary.
+* **Presort once per boosting call.**  :func:`presort` argsorts every
+  feature column once (stable, NaN last); the rounds of one boosting
+  call share it, and each fit copies the order and hands each node an
+  ``(F, n)`` matrix holding the node's row ids in per-feature sorted
+  order.  A stable sort restricted to a subset is the stable sort of
+  that subset, so splitting the matrix with one boolean lookup per node
+  keeps every row exactly where a per-node argsort would put it.
+* **One search per node, candidates only.**  A node takes prefix sums
+  along the sorted axis and scores both default directions of just the
+  real candidates, the (feature, boundary) cells between two distinct
+  present values, over every feature at once.  Ties go to the first
+  maximum in (feature, default direction, boundary) order, the
+  per-feature loop's tie-break: lower feature first, then default-left
+  before default-right, then the leftmost boundary.
 * **Pairwise-sum exactness.**  The gradient mass of the missing values is
   ``G - G_present``, where ``G_present`` is numpy's *pairwise* sum of the
-  present prefix, not its last prefix sum.  Row sums over C-contiguous
-  rows (``a[rows][:, :count].sum(axis=1)``) reproduce the 1-D ``.sum()``
-  of each row bit for bit; Fortran-ordered rows would not.
+  present prefix, not its last prefix sum.  A row sum over a contiguous
+  prefix (``stats[:, f, :count].sum(axis=1)``) reproduces the 1-D
+  ``.sum()`` of that prefix bit for bit; a sequential sum such as
+  ``np.add.reduceat`` would not.
 * **Hessian prune.**  A split needs ``H_L >= min_child_weight`` and
   ``H_R >= min_child_weight``.  Hessians are non-negative, so ``H_L +
   H_R`` is the node's ``H`` up to rounding, and a node whose ``H`` falls
   short of ``2 * min_child_weight`` by more than the rounding slack cannot
   split: it becomes a leaf without a search.  The logistic hessian
   ``p (1 - p)`` is at most 0.25, so small boosting nodes often end here.
+
+Batch prediction walks a :class:`FlatForest`: every (tree, row) pair
+moves one level per step through flat node arrays, so a batch costs a
+few numpy calls per level of the deepest tree, not a recursion per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 #: Relative slack of the hessian prune: ``H_L + H_R`` can exceed the
 #: node's ``H`` only by rounding, about ``n`` ulps for ``n`` rows.
 _PRUNE_SLACK = 1e-9
-
-#: Sorted values one block of the split search covers: large nodes are
-#: searched a few features at a time, so scratch memory stays bounded.
-_BLOCK_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,22 @@ def _score(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
     return grad_sum * grad_sum / (hess_sum + reg_lambda)
 
 
+class Presorted(NamedTuple):
+    """A feature matrix sorted once, for any number of fits on it."""
+
+    #: Feature-major copy of ``X``: row f is feature f, C-contiguous.
+    values: np.ndarray
+    #: Row ids sorted by each feature (stable, NaN last), one row per
+    #: feature.
+    order: np.ndarray
+
+
+def presort(X: np.ndarray) -> Presorted:
+    """Sort every feature column of ``X`` once (see the module doc)."""
+    values = np.ascontiguousarray(X.T)
+    return Presorted(values, np.argsort(values, axis=1, kind="stable"))
+
+
 class _Grower:
     """The state of one ``fit``: data, scratch space, training-row leaves.
 
@@ -108,20 +128,25 @@ class _Grower:
     """
 
     def __init__(
-        self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray, params: TreeParams
+        self,
+        X: np.ndarray,
+        grad: np.ndarray,
+        hess: np.ndarray,
+        params: TreeParams,
+        presorted: Presorted,
     ) -> None:
         m, n_features = X.shape
         self.params = params
         self.X = X
         self.grad = grad
         self.hess = hess
-        # Feature-major copies: row f of each is feature f, C-contiguous.
-        self.values_by_feature = np.ascontiguousarray(X.T)
+        self.values_by_feature = presorted.values
         self.grad_hess = np.stack((grad, hess))
-        self.offsets = (np.arange(n_features) * m)[:, None]
-        # Row ids sorted by each feature (stable, NaN last).  Every node
-        # owns a column range of it, partitioned in place when it splits.
-        self.order = np.argsort(self.values_by_feature, axis=1, kind="stable")
+        self.feature_ids = np.arange(n_features)
+        self.offsets = (self.feature_ids * m)[:, None]
+        # Every node owns a column range of the sorted row ids,
+        # partitioned in place when it splits: a private copy per fit.
+        self.order = presorted.order.copy()
         self.goes_left = np.zeros(m, dtype=bool)
         self.leaf_values = np.empty(m)
         self.node_count = 0
@@ -146,7 +171,7 @@ class _Grower:
         )
         split = self._best_split(segment, g_sum, h_sum) if can_split else None
         children = None
-        if split is not None and split.gain > 0.0:
+        if split is not None:
             children = self._partition(indices, segment, split)
         if children is None:
             self.leaf_values[indices] = node.value
@@ -192,94 +217,72 @@ class _Grower:
     ) -> Optional[_SplitResult]:
         """The best split of one node over every feature, or None.
 
-        Features go in blocks of at most ``_BLOCK_CELLS`` sorted values,
-        which bounds the scratch memory of large nodes; a later block
-        must beat the best so far strictly, as a later feature must.
-        """
-        n_features, n = segment.shape
-        if n < 2:
-            return None
-        step = max(1, _BLOCK_CELLS // n)
-        best: Optional[_SplitResult] = None
-        for first in range(0, n_features, step):
-            split = self._best_in_block(
-                segment[first : first + step], first, g_sum, h_sum
-            )
-            if split is not None and (best is None or split.gain > best.gain):
-                best = split
-        return best
-
-    def _best_in_block(
-        self, block: np.ndarray, first: int, g_sum: float, h_sum: float
-    ) -> Optional[_SplitResult]:
-        """The best split on features ``first, first + 1, ...``, or None.
-
-        ``block`` holds the node's rows sorted by each of those features.
+        ``segment`` holds the node's rows sorted by each feature.  A best
+        gain that is not positive (or NaN) is no split either.
         """
         params = self.params
         lam = params.reg_lambda
-        n_block, n = block.shape
-        rows = slice(first, first + n_block)
-        values = self.values_by_feature.take(block + self.offsets[rows])
-        stats = self.grad_hess.take(block, axis=1)  # (2, F, n): grad, hess
-        present = n - np.isnan(values).sum(axis=1)  # NaNs sort last
-        # Pairwise sums of each feature's present prefix (see module doc),
-        # grouped by prefix length; features with fewer than two present
-        # values have no candidate and keep their full-row sum.
+        n = segment.shape[1]
+        values = self.values_by_feature.take(segment + self.offsets)
+        # Boundary p (1 <= p < present) sits at column p - 1: the left
+        # child takes the first p present rows.  It is a candidate when
+        # the values on both sides differ; NaNs sort last, so ``>`` also
+        # rules out every column that reaches a missing value.
+        features, columns = np.nonzero(values[:, 1:] > values[:, :-1])
+        k = len(features)
+        if k == 0:
+            return None
+        stats = self.grad_hess.take(segment, axis=1)  # (2, F, n): grad, hess
+        present = n - np.isnan(values).sum(axis=1)
+        # Pairwise sums of each feature's present prefix (see module doc);
+        # features with fewer than two present values have no candidate
+        # and keep their full-row sum.
         present_sums = stats.sum(axis=2)
-        short = {}
         for feature, count in enumerate(present.tolist()):
             if 2 <= count < n:
-                short.setdefault(count, []).append(feature)
-        for count, features in short.items():
-            present_sums[:, features] = (
-                stats.take(features, axis=1)[:, :, :count].sum(axis=2)
-            )
-        missing = np.array([[g_sum], [h_sum]]) - present_sums  # (2, F)
-        # Candidate boundary p (1 <= p < present) sits at column p - 1:
-        # the left child takes the first p present rows.
+                present_sums[:, feature] = stats[:, feature, :count].sum(axis=1)
+        missing = (np.array([[g_sum], [h_sum]]) - present_sums)[:, features]
         cum = np.cumsum(stats, axis=2)
-        total = cum[:, np.arange(n_block), np.maximum(present - 1, 0)]
-        candidate = (values[:, 1:] != values[:, :-1]) & (
-            np.arange(n - 1) < (present - 1)[:, None]
-        )
-        # (G, H) of both children for every candidate; axis 2 is the
-        # default direction, 0 sending the missing rows left.
-        shape = (2, n_block, 2, n - 1)
-        lefts = np.empty(shape)
-        rights = np.empty(shape)
-        lefts[:, :, 1] = cum[:, :, :-1]
-        np.subtract(total[:, :, None], lefts[:, :, 1], out=rights[:, :, 0])
-        np.add(lefts[:, :, 1], missing[:, :, None], out=lefts[:, :, 0])
-        np.add(rights[:, :, 0], missing[:, :, None], out=rights[:, :, 1])
-        (gl, hl), (gr, hr) = lefts, rights
-        mcw = params.min_child_weight
-        valid = (hl >= mcw) & (hr >= mcw) & candidate[:, None, :]
+        total = cum[:, self.feature_ids, np.maximum(present - 1, 0)][:, features]
+        # (G, H) of both children of every candidate: axes are (statistic,
+        # child, default direction, candidate), direction 0 sending the
+        # missing rows left.
+        sides = np.empty((2, 2, 2, k))
+        left = sides[:, 0, 1]
+        left[...] = cum[:, features, columns]
+        np.subtract(total, left, out=sides[:, 1, 0])
+        np.add(left, missing, out=sides[:, 0, 0])
+        np.add(sides[:, 1, 0], missing, out=sides[:, 1, 1])
+        grads, hessians = sides
+        fits = hessians >= params.min_child_weight
+        valid = fits[0] & fits[1]
         # The gain 0.5 * (gl^2/(hl+lam) + gr^2/(hr+lam) - parent) - gamma,
-        # operation by operation, in place.  Columns past a feature's
-        # present prefix mix in missing rows and may divide by zero; they
-        # are masked out below.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            hl += lam
-            gl *= gl
-            gl /= hl
-            hr += lam
-            gr *= gr
-            gr /= hr
-            gl += gr
-            gl -= _score(g_sum, h_sum, lam)
-            gl *= 0.5
-            gl -= params.gamma
-        gains = gl
+        # operation by operation, in place.
+        hessians += lam
+        grads *= grads
+        grads /= hessians
+        gains = grads[0]
+        gains += grads[1]
+        gains -= _score(g_sum, h_sum, lam)
+        gains *= 0.5
+        gains -= params.gamma
         gains[~valid] = -np.inf
-        pick = int(np.argmax(gains))
-        if not valid.flat[pick]:
+        best = gains.max()
+        if not best > 0.0:
             return None
-        feature, rest = divmod(pick, 2 * (n - 1))
-        direction, column = divmod(rest, n - 1)
+        # The first maximum in (feature, direction, boundary) order: the
+        # per-feature scan's tie-break.
+        hits = np.flatnonzero(gains == best)
+        hit = int(hits[0])
+        if len(hits) > 1:
+            direction, rank = np.divmod(hits, k)
+            keys = (features[rank] * 2 + direction) * n + columns[rank]
+            hit = int(hits[np.argmin(keys)])
+        direction, rank = divmod(hit, k)
+        feature, column = int(features[rank]), int(columns[rank])
         return _SplitResult(
-            gain=float(gains.flat[pick]),
-            feature=first + feature,
+            gain=float(best),
+            feature=feature,
             threshold=float(
                 0.5 * (values[feature, column] + values[feature, column + 1])
             ),
@@ -305,12 +308,18 @@ class RegressionTree:
         return self
 
     def fit_predict(
-        self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray
+        self,
+        X: np.ndarray,
+        grad: np.ndarray,
+        hess: np.ndarray,
+        presorted: Optional[Presorted] = None,
     ) -> np.ndarray:
         """Grow the tree and return each training row's leaf weight.
 
         The result equals ``predict(X)`` after :meth:`fit`, read off while
-        growing instead of by a second traversal.
+        growing instead of by a second traversal.  ``presorted`` is
+        :func:`presort` of the same ``X``, shared by the rounds of one
+        boosting call; without it the fit sorts ``X`` itself.
         """
         X = np.asarray(X, dtype=float)
         grad = np.asarray(grad, dtype=float)
@@ -322,8 +331,13 @@ class RegressionTree:
         if len(X) == 0:
             raise ValueError("cannot fit on empty data")
         self.n_features = X.shape[1]
-        grower = _Grower(X, grad, hess, self.params)
-        self._root = grower.build(np.arange(len(X)), 0, depth=0)
+        if presorted is None:
+            presorted = presort(X)
+        grower = _Grower(X, grad, hess, self.params, presorted)
+        # With ``reg_lambda`` 0, the gain of a child whose hessian sum is
+        # 0 divides by zero before the ``min_child_weight`` test masks it.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self._root = grower.build(np.arange(len(X)), 0, depth=0)
         self.node_count = grower.node_count
         return grower.leaf_values
 
@@ -335,9 +349,7 @@ class RegressionTree:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(1, -1)
-        out = np.zeros(len(X))
-        self._predict_into(self._root, X, np.arange(len(X)), out)
-        return out
+        return FlatForest().sync([self]).leaf_values(X)[0]
 
     def predict_row(self, row: Sequence[float]) -> float:
         """Leaf weight for one row of plain floats, walked in Python.
@@ -356,27 +368,6 @@ class RegressionTree:
                 go_left = value < node.threshold
             node = node.left if go_left else node.right
         return node.value
-
-    def _predict_into(
-        self, node: _Node, X: np.ndarray, indices: np.ndarray, out: np.ndarray
-    ) -> None:
-        if node.is_leaf:
-            out[indices] = node.value
-            return
-        values = X[indices, node.feature]
-        missing = np.isnan(values)
-        goes_left = values < node.threshold
-        if node.default_left:
-            goes_left = goes_left | missing
-        else:
-            goes_left = goes_left & ~missing
-        assert node.left is not None and node.right is not None
-        left_idx = indices[goes_left]
-        right_idx = indices[~goes_left]
-        if len(left_idx):
-            self._predict_into(node.left, X, left_idx, out)
-        if len(right_idx):
-            self._predict_into(node.right, X, right_idx, out)
 
     # -- introspection -----------------------------------------------------------
     @property
@@ -402,3 +393,94 @@ class RegressionTree:
             stack.append(node.left)
             stack.append(node.right)
         return counts
+
+
+class FlatForest:
+    """Fitted trees as flat node arrays, for batch prediction.
+
+    The nodes of all trees share one numbering, each tree's in preorder
+    after the trees before it, and each field is one array indexed by
+    node.  A leaf routes both ways to itself, so walking every (tree,
+    row) pair ``depth`` steps lands each pair on its leaf, whatever depth
+    that leaf is at.  :meth:`sync` follows a growing list of trees by
+    flattening only the trees appended since the last call.
+    """
+
+    def __init__(self) -> None:
+        self._clear()
+
+    def _clear(self) -> None:
+        self.trees: List[RegressionTree] = []
+        #: The deepest leaf of any tree: the steps a walk needs.
+        self.depth = 0
+        self.roots = np.empty(0, dtype=np.intp)
+        self.feature = np.empty(0, dtype=np.intp)
+        self.threshold = np.empty(0)
+        self.default_left = np.empty(0, dtype=bool)
+        #: ``children[2 * node + go_left]`` is the node a row moves to.
+        self.children = np.empty(0, dtype=np.intp)
+        self.value = np.empty(0)
+
+    def sync(self, trees: Sequence[RegressionTree]) -> "FlatForest":
+        """Follow ``trees``: append the trees new since the last call, or
+        start over if ``trees`` no longer begins with the flattened ones."""
+        done = self.trees
+        if len(done) > len(trees) or any(a is not b for a, b in zip(done, trees)):
+            self._clear()
+        if len(self.trees) < len(trees):
+            self._append(trees[len(self.trees) :])
+            self.trees = list(trees)
+        return self
+
+    def _append(self, trees: Sequence[RegressionTree]) -> None:
+        base = len(self.value)
+        roots: List[int] = []
+        feature: List[int] = []
+        threshold: List[float] = []
+        default_left: List[bool] = []
+        children: List[int] = []
+        value: List[float] = []
+        for tree in trees:
+            if tree._root is None:
+                raise RuntimeError("tree is not fitted")
+            roots.append(base + len(value))
+            # (node, its depth, the slot of ``children`` pointing at it)
+            stack: List[Tuple[_Node, int, int]] = [(tree._root, 0, -1)]
+            while stack:
+                node, depth, slot = stack.pop()
+                local = len(value)
+                if slot >= 0:
+                    children[slot] = base + local
+                children += [base + local, base + local]
+                feature.append(max(node.feature, 0))
+                threshold.append(node.threshold)
+                default_left.append(node.default_left)
+                value.append(node.value)
+                self.depth = max(self.depth, depth)
+                if not node.is_leaf:
+                    stack.append((node.right, depth + 1, 2 * local))
+                    stack.append((node.left, depth + 1, 2 * local + 1))
+        self.roots = np.concatenate((self.roots, np.array(roots, dtype=np.intp)))
+        self.feature = np.concatenate((self.feature, np.array(feature, dtype=np.intp)))
+        self.threshold = np.concatenate((self.threshold, threshold))
+        self.default_left = np.concatenate((self.default_left, default_left))
+        self.children = np.concatenate((self.children, np.array(children, np.intp)))
+        self.value = np.concatenate((self.value, value))
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Each tree's leaf weight for each row of 2-D ``X``: ``(trees, rows)``.
+
+        Rows route as :meth:`RegressionTree.predict_row` routes them: a
+        value below the threshold goes left, NaN the default direction.
+        """
+        n_rows, n_features = X.shape
+        nodes = np.repeat(self.roots[:, None], n_rows, axis=1)
+        if self.depth:
+            cells = X.ravel()
+            row_starts = np.arange(n_rows) * n_features
+            for _ in range(self.depth):
+                values = cells.take(row_starts + self.feature.take(nodes))
+                go_left = values < self.threshold.take(nodes)
+                go_left |= np.isnan(values) & self.default_left.take(nodes)
+                nodes = self.children.take(2 * nodes + go_left)
+        return self.value.take(nodes)

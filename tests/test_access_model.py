@@ -5,7 +5,8 @@ import pytest
 
 from repro.common.units import MINUTES
 from repro.ml.access_model import FileAccessModel, LearningMode
-from repro.ml.gbt import GBTParams
+from repro.ml.gbt import GBTParams, GradientBoostedTrees
+from repro.ml.serialize import model_to_dict
 
 
 def feed_periodic_pattern(model, n_files=40, periods=(600.0, 7200.0), horizon=20000.0):
@@ -142,6 +143,27 @@ class TestCompaction:
         feed_periodic_pattern(model, horizon=15000.0)
         # Compaction keeps the ensemble near the cap (fit + one increment).
         assert model.model.num_trees <= 20
+
+    def test_single_fit_matches_fit_then_increment(self):
+        # Compaction fits twice the rounds in one call; the trees are the
+        # ones a fit followed by one more increment grows.
+        model = FileAccessModel(
+            window=1800.0,
+            gbt_params=GBTParams(num_rounds=5, max_depth=6, max_trees=1000),
+            batch_size=32,
+        )
+        feed_periodic_pattern(model, horizon=6000.0)
+        X = np.vstack([p.features for p in model._replay])
+        y = np.array([p.label for p in model._replay])
+        assert len(np.unique(y)) == 2
+        reference = GradientBoostedTrees(model.model.params).fit(X, y)
+        reference.fit_increment(X, y, num_rounds=5)
+        model._compact()
+        assert model.model.num_trees == 10
+        assert model_to_dict(model.model) == model_to_dict(reference)
+        assert np.array_equal(
+            model.model.predict_margin(X), reference.predict_margin(X)
+        )
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

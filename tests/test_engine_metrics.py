@@ -1,14 +1,18 @@
 """Tests for the metrics collector and derived figures."""
 
+import math
+
 import pytest
 
 from repro.cluster import StorageTier
 from repro.common.units import MB
+from repro.engine import metrics as metrics_module
 from repro.engine.metrics import (
     MetricsCollector,
     completion_reduction,
     efficiency_improvement,
 )
+from repro.workload.bins import BIN_NAMES
 
 
 class TestRecording:
@@ -54,6 +58,37 @@ class TestRecording:
         assert dist["C"][StorageTier.MEMORY] == pytest.approx(0.75)
         assert dist["C"][StorageTier.SSD] == pytest.approx(0.25)
         assert dist["A"][StorageTier.MEMORY] == 0.0
+
+
+class TestFoldedSums:
+    """Totals fold left to right, whatever builtin ``sum()`` does."""
+
+    #: A left-to-right fold gives 3.3636363636363633; a compensated sum
+    #: (Python >= 3.12 ``sum()``) rounds it to 3.3636363636363638.
+    TRIPLE = (1.0, 1.1818181818181819, 1.1818181818181819)
+
+    @pytest.fixture(autouse=True)
+    def compensated_builtin(self, monkeypatch):
+        # Shadow the builtin inside the module, as Python 3.12 would.
+        monkeypatch.setattr(metrics_module, "sum", math.fsum, raising=False)
+
+    def test_the_triple_rounds_differently(self):
+        assert math.fsum(self.TRIPLE) == 3.3636363636363638
+
+    def test_total_task_seconds(self):
+        metrics = MetricsCollector()
+        for name, seconds in zip(BIN_NAMES, self.TRIPLE):
+            metrics.record_task_time(name, seconds)
+        assert metrics.total_task_seconds() == 3.3636363636363633
+
+    def test_tier_access_distribution(self):
+        metrics = MetricsCollector()
+        tiers = (StorageTier.MEMORY, StorageTier.SSD, StorageTier.HDD)
+        for tier, amount in zip(tiers, self.TRIPLE):
+            metrics.record_task_read("A", tier, amount)
+        share = metrics.tier_access_distribution()["A"][StorageTier.SSD]
+        assert share == 1.1818181818181819 / 3.3636363636363633
+        assert share != 1.1818181818181819 / 3.3636363636363638
 
 
 class TestDerivedFigures:

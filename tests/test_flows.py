@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.floats import fold_sum
 from repro.engine import flows as flows_module
 from repro.engine.flows import (
     FairShareEngine,
@@ -50,7 +51,7 @@ class TestWeightFold:
     TRIPLE = (1.0, 1.1818181818181819, 1.1818181818181819)
 
     def test_fold_of_the_production_triple_is_pinned(self):
-        assert flows_module._fold(self.TRIPLE) == 3.3636363636363633
+        assert fold_sum(self.TRIPLE) == 3.3636363636363633
         # A compensated sum (Python >= 3.12 ``sum()``) rounds it the
         # other way; the solvers must not use one.
         assert math.fsum(self.TRIPLE) == 3.3636363636363638

@@ -233,6 +233,48 @@ def test_min_split_samples_below_two():
     assert_same_tree(X, grad, hess, params)
 
 
+@pytest.mark.parametrize("seed, m", [(11, 832), (12, 1500)])
+def test_compaction_shaped_problem(seed, m):
+    # The shape of a replay-reservoir refit: 832 or more rows over 15
+    # features, most columns partly missing, values from a small pool so
+    # ties are common.  Its upper nodes span many thousands of cells.
+    X, grad, hess = make_problem(seed, m, 15, [0.0, 0.3, 0.6, 0.9], 20)
+    assert_same_tree(X, grad, hess, PAPER_GBT_PARAMS.tree_params())
+
+
+def _root_split(X, grad, hess, params):
+    assert_same_tree(X, grad, hess, params)
+    root = RegressionTree(params).fit(X, grad, hess)._root
+    assert not root.is_leaf
+    return root.feature, root.default_left, root.threshold
+
+
+def test_equal_gains_take_first_feature_default_left_leftmost_boundary():
+    # Two identical columns without missing values, and gradients whose
+    # best boundaries (after 2 and after 6 rows) score the same gain;
+    # every sum is exact, so the missing mass is exactly zero and both
+    # default directions score the same too.
+    column = np.arange(8.0)
+    X = np.column_stack((column, column))
+    grad = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+    hess = np.full(8, 0.25)
+    params = TreeParams(max_depth=1, min_child_weight=0.5)
+    assert _root_split(X, grad, hess, params) == (0, True, 1.5)
+
+
+def test_equal_gains_order_feature_before_direction():
+    # Feature 0 reaches the best gain only with the missing rows sent
+    # right; feature 1 (no missing values) reaches the same gain in both
+    # directions.  The first feature wins, with its own direction, even
+    # though the other's default-left candidate is the same gain.
+    partly_missing = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, np.nan, np.nan]
+    X = np.column_stack((partly_missing, np.arange(8.0)))
+    grad = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+    hess = np.full(8, 0.25)
+    params = TreeParams(max_depth=1, min_child_weight=0.5)
+    assert _root_split(X, grad, hess, params) == (0, False, 3.5)
+
+
 # -- prediction agreement ---------------------------------------------------------
 
 
@@ -252,6 +294,68 @@ def test_single_row_margin_matches_batch(paper_model):
     assert np.array_equal(singles, batch)
     probs = model.predict_proba(X)
     assert [model.predict_one(row) for row in X] == probs.tolist()
+
+
+def walked_margins(model, X):
+    """Each row's margin summed tree by tree over single-row walks."""
+    margins = []
+    for row in X.tolist():
+        margin = model.base_margin
+        for tree in model.trees:
+            margin += model.params.learning_rate * tree.predict_row(row)
+        margins.append(margin)
+    return np.array(margins)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depths=st.lists(st.sampled_from([0, 1, 3, 20]), min_size=1, max_size=12),
+    n_rows=st.integers(2, 80),
+)
+def test_batch_margins_match_single_row_walks(seed, depths, n_rows):
+    # Stumps next to depth-20 trees, queried with rows that are partly
+    # or wholly missing: every (tree, row) pair walks the forest's full
+    # depth, and leaves reached early must stay put.
+    X, grad, hess = make_problem(seed, 300, 5, [0.0, 0.2, 0.9], 10)
+    rng = np.random.default_rng(seed)
+    params = [TreeParams(max_depth=d, min_child_weight=0.0) for d in depths]
+    trees = [RegressionTree(p).fit(X, rng.permutation(grad), hess) for p in params]
+    model = GradientBoostedTrees(GBTParams(learning_rate=0.3))
+    model.trees = trees
+    queries, _, _ = make_problem(seed + 1, n_rows, 5, [0.1, 0.5], 10)
+    queries[0] = np.nan
+    queries[-1] = X[0]
+    assert np.array_equal(model.predict_margin(queries), walked_margins(model, queries))
+    for tree in trees:
+        walked = [tree.predict_row(row) for row in queries.tolist()]
+        assert tree.predict(queries).tolist() == walked
+
+
+def test_flat_forest_follows_the_tree_list():
+    X, _, _ = make_problem(31, 400, 6, [0.0, 0.4, 0.9], 12)
+    y = (np.nan_to_num(X[:, 0], nan=0.7) + np.isnan(X[:, 2]) > 0.6).astype(int)
+    model = GradientBoostedTrees(GBTParams(num_rounds=3, max_depth=8)).fit(X, y)
+
+    def assert_current():
+        assert np.array_equal(model.predict_margin(X), walked_margins(model, X))
+
+    assert_current()
+    model.fit_increment(X[:150], y[:150])  # appended trees
+    assert len(model.trees) == 6
+    assert_current()
+    model.trees = model.trees[:2]  # a shorter list
+    assert_current()
+    model.trees = model.trees[::-1]  # as long, other trees
+    assert_current()
+    model.trees[0] = model.trees[1]  # replaced in place
+    assert_current()
+    model.trees = []  # none at all: the base margin
+    assert np.array_equal(model.predict_margin(X), np.full(len(X), model.base_margin))
+    model.fit(X, y)
+    assert_current()
+    clone = model_from_dict(model_to_dict(model))
+    assert np.array_equal(clone.predict_margin(X), model.predict_margin(X))
 
 
 def test_serialized_round_trip_predicts_identically(paper_model):

@@ -19,7 +19,9 @@ seed ``s + 1000 i``, which is also the system seed):
 
 * ``snap`` -- FB profile x1, LRU + OSA, snapshot pricing;
 * ``fair`` -- FB profile x0.5, LRU + OSA, fair-share pricing;
-* ``pipe`` -- the ``pipeline`` scenario x2, LRU + OSA, snapshot pricing.
+* ``pipe`` -- the ``pipeline`` scenario x2, LRU + OSA, snapshot pricing;
+* ``xgb`` -- FB profile x0.5 cut to 1.25 h, XGB downgrade and upgrade,
+  snapshot pricing (the incremental tree learner's workload).
 
 Usage::
 
@@ -34,6 +36,7 @@ number of pairs B won.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import io
@@ -57,11 +60,17 @@ _IMPORT_RE = re.compile(r"\b(from|import)(\s+)repro\b")
 #: Inputs replayed per run.
 INPUTS = 3
 
-#: ``(scenario or None, scale, io_model)`` per workload.
+#: Downgrade and upgrade policies.
+LRU = ("lru", "osa")
+XGB = ("xgb", "xgb")
+
+#: ``(scenario or None, scale, hours or None, io_model, policies)`` per
+#: workload; ``hours`` cuts an FB profile short.
 WORKLOADS = {
-    "snap": (None, 1.0, "snapshot"),
-    "fair": (None, 0.5, "fairshare"),
-    "pipe": ("pipeline", 2.0, "snapshot"),
+    "snap": (None, 1.0, None, "snapshot", LRU),
+    "fair": (None, 0.5, None, "fairshare", LRU),
+    "pipe": ("pipeline", 2.0, None, "snapshot", LRU),
+    "xgb": (None, 0.5, 1.25, "snapshot", XGB),
 }
 
 
@@ -97,15 +106,17 @@ class Revision:
 
     def __init__(self, package: str, workload: str) -> None:
         self.package = package
-        self.scenario, self.scale, self.io_model = WORKLOADS[workload]
+        spec = WORKLOADS[workload]
+        self.scenario, self.scale, self.hours, self.io_model, policies = spec
+        self.downgrade, self.upgrade = policies
         self.runner = importlib.import_module(f"{package}.engine.runner")
 
     def build(self, seed: int):
         """A fresh runner for input ``seed`` (not timed)."""
         config = self.runner.SystemConfig(
             label="ab",
-            downgrade="lru",
-            upgrade="osa",
+            downgrade=self.downgrade,
+            upgrade=self.upgrade,
             workers=11,
             io_model=self.io_model,
             seed=seed,
@@ -119,6 +130,11 @@ class Revision:
             profiles = importlib.import_module(f"{self.package}.workload.profiles")
             synthesis = importlib.import_module(f"{self.package}.workload.synthesis")
             profile = profiles.scaled_profile(profiles.PROFILES["FB"], self.scale)
+            if self.hours is not None:
+                units = importlib.import_module(f"{self.package}.common.units")
+                profile = dataclasses.replace(
+                    profile, duration=self.hours * units.HOURS
+                )
             workload = synthesis.synthesize_trace(profile, seed=seed)
         return self.runner.WorkloadRunner(workload, config)
 
