@@ -13,6 +13,8 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
+from repro.common.floats import fold_sum
+
 #: Anything ``numpy.random.default_rng`` accepts as entropy.  Sequences
 #: of ints derive independent sub-streams deterministically — workload
 #: generators use ``[seed, source_index]`` so per-tenant / per-dataset
@@ -96,7 +98,7 @@ def weighted_choice(
     """Pick one of ``items`` with the given (unnormalized) weights."""
     if len(items) != len(weights):
         raise ValueError("items and weights must have equal length")
-    total = float(sum(weights))
+    total = float(fold_sum(weights))
     if total <= 0:
         raise ValueError("weights must sum to a positive value")
     probs = np.asarray(weights, dtype=float) / total

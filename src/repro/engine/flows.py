@@ -20,24 +20,34 @@ medium.
 
 Scaling design.  A flow start/finish can only change rates inside the
 connected component of resources it touches (anything disjoint keeps
-its max-min allocation by definition), so the engine maintains
-*persistent per-resource flow registries* and walks just that dirty
-component instead of scanning every active flow.  The progressive
-filling itself caches per-resource weight sums and refreshes only the
-resources whose bottleneck structure changed when flows froze
-(:func:`compute_max_min_rates`), and components at or above
-``FairShareEngine.vector_threshold`` flows switch to a
-numpy-vectorized filling (:func:`compute_max_min_rates_vectorized`).
+its max-min allocation by definition), so the engine keeps *persistent
+per-resource flow registries* and re-prices just that dirty component.
+One walk finds, orders and drains the component: a min-heap of
+``(admit_seq, flow)`` grows from the touched resources' registries and
+emits the component in the historical sweep order (repeated passes in
+admission order, the reachable resources growing mid-pass), draining
+each emitted flow to the current instant.  The progressive filling
+(:func:`compute_max_min_rates`) indexes that order once (resources in
+first-seen order, per-resource users and weights, left-to-right weight
+folds), caches per-resource weight sums, and
+refreshes only the resources whose bottleneck structure changed when
+flows froze; components at or above ``FairShareEngine.vector_threshold``
+flows switch to a numpy-vectorized filling
+(:func:`compute_max_min_rates_vectorized`).  A flow's completion
+callback, event name and standalone rate are built once, not per
+reschedule.
 The scalar path is arithmetic-for-arithmetic identical to the naive
-from-scratch solver (:func:`compute_max_min_rates_reference`), which is
-what keeps full-scale runs bit-identical to the pre-registry engine;
-the vectorized path is reserved for component sizes the reference runs
-never reach.
+from-scratch solver (:func:`compute_max_min_rates_reference`) over the
+historical component order, which is what keeps full-scale runs
+bit-identical to the pre-registry engine; the vectorized path is
+reserved for component sizes the reference runs never reach.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,6 +96,9 @@ class Flow:
         "admit_seq",
         "dup_links",
         "link_names",
+        "standalone_rate",
+        "finish_callback",
+        "event_name",
     )
 
     def __init__(
@@ -116,10 +129,11 @@ class Flow:
         #: add up in the solver, so shortcuts assuming one weight per
         #: resource do not apply).
         self.dup_links = len(set(self.link_names)) < len(self.link_names)
-
-    def standalone_rate(self) -> float:
-        """The rate this flow would get with the graph to itself."""
-        return min(r.capacity / w for r, w in self.links)
+        #: The rate this flow would get with the graph to itself.
+        self.standalone_rate = min(r.capacity / w for r, w in self.links)
+        #: Completion callback and event name, built once at admission.
+        self.finish_callback: Optional[Callable[[], None]] = None
+        self.event_name = ""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Flow({self.flow_id}, {self.name}, {self.bytes_remaining:.0f}B left)"
@@ -203,7 +217,9 @@ def compute_max_min_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
     whose bottleneck structure changed.  Likewise only flows crossing a
     resource that saturated *this* round can freeze (any resource that
     saturated earlier already froze all of its flows), so the freeze
-    scan visits saturated resources' users instead of every flow.
+    scan visits saturated resources' users instead of every flow.  A
+    saturated resource has no unfixed flow left once they froze, so it
+    takes the empty fold, 0.0, without a rescan.
     """
     if not flows:
         return {}
@@ -213,8 +229,7 @@ def compute_max_min_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
     res_index: Dict[Resource, int] = {}
     remaining: List[float] = []
     threshold: List[float] = []
-    user_flows: List[List[int]] = []  # per resource: flow positions
-    user_weights: List[List[float]] = []  # per resource: matching weights
+    users: List[List[Tuple[int, float]]] = []  # per resource: (position, weight)
     flow_resources: List[List[int]] = []  # per flow: resource indices
     # Cached per-resource weight sums over unfixed flows.  The initial
     # fold (accumulated here, in link order) and every dirty refresh use
@@ -230,11 +245,9 @@ def compute_max_min_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
                 i = res_index[resource] = len(remaining)
                 remaining.append(resource.capacity)
                 threshold.append(_SATURATION_SLACK * resource.capacity)
-                user_flows.append([])
-                user_weights.append([])
+                users.append([])
                 weight_sums.append(0.0)
-            user_flows[i].append(pos)
-            user_weights[i].append(weight)
+            users[i].append((pos, weight))
             weight_sums[i] += weight
             indices.append(i)
         flow_resources.append(indices)
@@ -271,21 +284,23 @@ def compute_max_min_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
         remaining[best] = 0.0  # kill float residue at the bottleneck
         saturated.append(best)
         level = best_level
-        dirty: List[int] = []
+        dirty = set()
         for i in saturated:
-            for pos in user_flows[i]:
+            for pos, _ in users[i]:
                 if unfixed[pos]:
                     unfixed[pos] = False
                     unfixed_count -= 1
                     rate_of[pos] = level
-                    dirty.extend(flow_resources[pos])
+                    dirty.update(flow_resources[pos])
+            # Every flow crossing a saturated resource is fixed now, and
+            # the fold of no weights is 0.0.
+            weight_sums[i] = 0.0
+        dirty.difference_update(saturated)
         for i in dirty:
             total = 0.0
-            flows_i = user_flows[i]
-            weights_i = user_weights[i]
-            for k in range(len(flows_i)):
-                if unfixed[flows_i[k]]:
-                    total += weights_i[k]
+            for pos, weight in users[i]:
+                if unfixed[pos]:
+                    total += weight
             weight_sums[i] = total
     return {flow: rate_of[pos] for pos, flow in enumerate(flows)}
 
@@ -412,7 +427,7 @@ class FairShareEngine:
         flow = Flow(next(self._ids), size, links, on_complete, name=name)
         flow.submitted_at = self.sim.now()
         flow.ideal_duration = latency + (
-            size / flow.standalone_rate() if size > 0 else 0.0
+            size / flow.standalone_rate if size > 0 else 0.0
         )
         if size <= 0:
             self.sim.after(latency, on_complete, name=f"{name}-empty")
@@ -425,6 +440,8 @@ class FairShareEngine:
 
     def _admit(self, flow: Flow) -> None:
         flow.admit_seq = next(self._admit_seq)
+        flow.finish_callback = functools.partial(self._finish, flow)
+        flow.event_name = f"flow-{flow.flow_id}-{flow.name}"
         self._flows[flow.flow_id] = flow
         for resource, _ in flow.links:
             registry = self._users.get(resource.name)
@@ -438,8 +455,9 @@ class FairShareEngine:
         self._recompute(flow)
 
     # -- re-pricing ----------------------------------------------------------
-    def _component_of(self, seed: Flow) -> List[Flow]:
-        """Active flows transitively sharing a resource with ``seed``.
+    def _walk(self, seed: Flow, now: float) -> List[Flow]:
+        """The active flows transitively sharing a resource with ``seed``,
+        drained to ``now``.
 
         Flows outside this connected component share no resource with
         the starting/finishing flow (directly or through chains), so
@@ -447,55 +465,56 @@ class FairShareEngine:
         only the component keeps recomputes local to the touched part
         of the graph.
 
-        Membership is discovered by a breadth-first walk of the resource
-        registries (O(component links)); the returned *ordering* then
-        replays the historical candidate sweep — repeated passes in
-        admission order, growing the resource frontier mid-pass — over
-        just the members, because the solver's resource first-seen order
-        and the completion events' scheduling order both depend on it.
-        Flows outside the component never join a pass and never grow the
-        frontier, so sweeping members only is order-identical to
-        sweeping every active flow.
+        The emitted order is the historical candidate sweep's: repeated
+        passes over the active flows in admission order, where a flow
+        joins when it crosses a reachable resource and its resources
+        become reachable at once, mid-pass.  The solver's resource
+        first-seen order and the completion events' scheduling order
+        both depend on it.  A min-heap of ``(admit_seq, flow)`` holds the
+        flows discovered on reachable resources; one discovered behind
+        the pass cursor (the last emitted ``admit_seq``) waits for the
+        next pass, exactly as the sweep would only reach it then.  The
+        walk ends with a pass that leaves nobody waiting.
         """
         users = self._users
-        resources = set(seed.link_names)
-        members: Dict[int, Flow] = {}
-        frontier = list(resources)
-        while frontier:
-            next_frontier: List[str] = []
-            for res_name in frontier:
-                registry = users.get(res_name)
-                if not registry:
-                    continue
-                for flow_id, flow in registry.items():
-                    if flow_id in members:
-                        continue
-                    members[flow_id] = flow
-                    for name in flow.link_names:
-                        if name not in resources:
-                            resources.add(name)
-                            next_frontier.append(name)
-            frontier = next_frontier
-        if len(members) <= 1:
-            return list(members.values())
-        candidates = sorted(members.values(), key=lambda f: f.admit_seq)
-        reachable = set(seed.link_names)
         component: List[Flow] = []
-        grew = True
-        while grew:
-            grew = False
-            rest: List[Flow] = []
-            for flow in candidates:
-                names = flow.link_names
-                if any(name in reachable for name in names):
-                    component.append(flow)
-                    for name in names:
-                        if name not in reachable:
-                            reachable.add(name)
-                            grew = True
-                else:
-                    rest.append(flow)
-            candidates = rest
+        reachable = set(seed.link_names)
+        seen = set()
+        heap = []
+        for name in reachable:
+            for flow_id, flow in users[name].items():
+                if flow_id not in seen:
+                    seen.add(flow_id)
+                    heap.append((flow.admit_seq, flow))
+        heapify(heap)
+        waiting: List[Tuple[int, Flow]] = []
+        while heap:
+            cursor = 0
+            while heap:
+                cursor, flow = heappop(heap)
+                elapsed = now - flow.last_update
+                if elapsed > 0.0 and flow.rate > 0.0:
+                    # max(0.0, left) without the builtin call.
+                    left = flow.bytes_remaining - flow.rate * elapsed
+                    flow.bytes_remaining = left if left > 0.0 else 0.0
+                flow.last_update = now
+                component.append(flow)
+                for name in flow.link_names:
+                    if name in reachable:
+                        continue
+                    reachable.add(name)
+                    for flow_id, other in users[name].items():
+                        if flow_id in seen:
+                            continue
+                        seen.add(flow_id)
+                        if other.admit_seq < cursor:
+                            waiting.append((other.admit_seq, other))
+                        else:
+                            heappush(heap, (other.admit_seq, other))
+            if waiting:
+                heap = waiting
+                heapify(heap)
+                waiting = []
         return component
 
     def _solve(self, flows: List[Flow]) -> Dict[Flow, float]:
@@ -516,13 +535,16 @@ class FairShareEngine:
         users = self._users
         # Fast paths for the two dominant event shapes (an isolated flow
         # starting, any flow finishing with its resources now idle):
-        # both have a trivially known component, so the registry walk,
-        # ordering sweep, and solver are skipped entirely.  Arithmetic
-        # is identical to the general path on the same component.
+        # both have a trivially known component, so the walk and the
+        # solver are skipped entirely.  Arithmetic is identical to the
+        # general path on the same component.
         if seed.flow_id not in self._flows:
             # seed just finished and was deregistered; empty registries
             # mean an empty component — nothing to re-price.
-            if all(not users[name] for name in seed.link_names):
+            for name in seed.link_names:
+                if users[name]:
+                    break
+            else:
                 return
         elif not seed.dup_links and all(
             len(users[name]) == 1 for name in seed.link_names
@@ -532,25 +554,18 @@ class FairShareEngine:
             if self.max_component < 1:
                 self.max_component = 1
             seed.last_update = now
-            rate = seed.standalone_rate()
+            rate = seed.standalone_rate
             seed.rate = rate
             self.events_rescheduled += 1
             seed.event = self.sim.at(
                 now + seed.bytes_remaining / rate,
-                lambda f=seed: self._finish(f),
-                name=f"flow-{seed.flow_id}-{seed.name}",
+                seed.finish_callback,
+                name=seed.event_name,
             )
             return
-        flows = self._component_of(seed)
+        flows = self._walk(seed, now)
         if len(flows) > self.max_component:
             self.max_component = len(flows)
-        for flow in flows:
-            elapsed = now - flow.last_update
-            if elapsed > 0.0 and flow.rate > 0.0:
-                flow.bytes_remaining = max(
-                    0.0, flow.bytes_remaining - flow.rate * elapsed
-                )
-            flow.last_update = now
         rates = self._solve(flows)
         for flow in flows:
             rate = rates[flow]
@@ -568,9 +583,7 @@ class FairShareEngine:
                 flow.event.cancel()
             self.events_rescheduled += 1
             flow.event = self.sim.at(
-                finish_at,
-                lambda f=flow: self._finish(f),
-                name=f"flow-{flow.flow_id}-{flow.name}",
+                finish_at, flow.finish_callback, name=flow.event_name
             )
 
     def _finish(self, flow: Flow) -> None:
@@ -582,7 +595,10 @@ class FairShareEngine:
             if registry is not None:
                 registry.pop(flow.flow_id, None)
         flow.bytes_remaining = 0.0
+        # Drop the flow's references to itself (event -> callback -> flow)
+        # so a finished flow is freed by refcount, not the cyclic GC.
         flow.event = None
+        flow.finish_callback = None
         self.flows_completed += 1
         self.realized_seconds += self.sim.now() - flow.submitted_at
         self.ideal_seconds += flow.ideal_duration
@@ -603,7 +619,7 @@ class FairShareEngine:
     def resource_demand(self, resource: Resource) -> float:
         """Current allocated consumption on ``resource`` (<= capacity)."""
         registry = self._users.get(resource.name, {})
-        return sum(
+        return fold_sum(
             flow.rate * weight
             for flow in registry.values()
             for r, weight in flow.links

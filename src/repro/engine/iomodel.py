@@ -149,9 +149,11 @@ class IoModel:
 
     @property
     def fairshare(self) -> bool:
+        """Whether operations are priced as re-solved fair-share flows."""
         return self.pricing == "fairshare"
 
     def device(self, device_id: str) -> StorageDevice:
+        """The storage device registered under ``device_id``."""
         return self._devices[device_id]
 
     # -- snapshot internals --------------------------------------------------
@@ -328,41 +330,43 @@ class IoModel:
         links.add(self._nic_resource.get(accessing_node))
 
     # -- fair-share operations -----------------------------------------------
-    @staticmethod
-    def _lone_flow_bw(links: "IoModel._LinkSet") -> float:
-        """The rate the engine would give this flow running alone.
-
-        A lone flow on a resource of capacity ``C`` with weight ``w``
-        gets ``C / w`` (e.g. a write on a device resource of capacity
-        ``read_bw`` with weight ``read_bw/write_bw`` gets ``write_bw``).
-        Deriving the uncontended ideal from the flow's *actual* links
-        keeps it honest about structural caps (remote endpoints, rack
-        uplinks): only genuine contention counts as queue delay.
-        """
-        return min(
-            resource.capacity / weight for resource, weight in links.as_list()
-        )
-
-    def _track_queue_delay(
+    def _submit_tracked(
         self,
+        engine: FairShareEngine,
         tier_name: str,
-        ideal_duration: float,
+        size: int,
+        links: "IoModel._LinkSet",
         on_complete: Callable[[], None],
-    ) -> Callable[[], None]:
-        """Wrap a flow completion to account realized-minus-ideal time.
+        latency: float,
+        name: str,
+    ) -> Flow:
+        """Submit a flow whose completion accounts realized-minus-ideal time.
 
-        The wrapper only adds bookkeeping at the completion instant —
-        flow rates, event order, and timing are untouched, so results
-        stay bit-identical with the accounting in place.
+        The ideal is the flow's own ``ideal_duration``: its latency plus
+        its bytes at the rate it would get running alone on its *actual*
+        links (a lone flow on a resource of capacity ``C`` with weight
+        ``w`` gets ``C / w``), which keeps the ideal honest about
+        structural caps (remote endpoints, rack uplinks): only genuine
+        contention counts as queue delay.  The wrapper only adds
+        bookkeeping at the completion instant — flow rates, event order,
+        and timing are untouched, so results stay bit-identical with the
+        accounting in place.
         """
-        start = self.sim.now()
+        queue_delay_by_tier = self.queue_delay_by_tier
+        now = self.sim.now
+        flow: Optional[Flow] = None
 
         def done() -> None:
-            realized = self.sim.now() - start
-            self.queue_delay_by_tier[tier_name] += max(0.0, realized - ideal_duration)
+            nonlocal flow
+            realized = now() - flow.submitted_at
+            queue_delay_by_tier[tier_name] += max(0.0, realized - flow.ideal_duration)
+            # The flow holds this wrapper; drop the way back so a finished
+            # flow is freed by refcount, not the cyclic GC.
+            flow = None
             on_complete()
 
-        return done
+        flow = engine.submit(size, links.as_list(), done, latency=latency, name=name)
+        return flow
 
     def read(
         self,
@@ -382,17 +386,14 @@ class IoModel:
         if remote:
             self._add_network_legs(links, source_node, reader_node)
         self._add_endpoint_leg(links, device, reader_node)
-        on_complete = self._track_queue_delay(
+        return self._submit_tracked(
+            engine,
             device.tier.name,
-            device.profile.seek_latency + size / self._lone_flow_bw(links),
-            on_complete,
-        )
-        return engine.submit(
             size,
-            links.as_list(),
+            links,
             on_complete,
-            latency=device.profile.seek_latency,
-            name=name,
+            device.profile.seek_latency,
+            name,
         )
 
     def write(
@@ -420,13 +421,14 @@ class IoModel:
             self._add_endpoint_leg(
                 links, leg.device, writer_node if writer_node else leg.node_id
             )
-        on_complete = self._track_queue_delay(
+        return self._submit_tracked(
+            engine,
             _bottleneck_leg(legs).device.tier.name,
-            latency + size / self._lone_flow_bw(links),
+            size,
+            links,
             on_complete,
-        )
-        return engine.submit(
-            size, links.as_list(), on_complete, latency=latency, name=name
+            latency,
+            name,
         )
 
     def transfer(
@@ -459,24 +461,21 @@ class IoModel:
         self._add_endpoint_leg(links, src, target_node)
         self._add_endpoint_leg(links, dst, source_node)
         latency = src.profile.seek_latency + dst.profile.seek_latency
-        on_complete = self._track_queue_delay(
-            dst.tier.name, latency + size / self._lone_flow_bw(links), on_complete
-        )
-        return engine.submit(
-            size,
-            links.as_list(),
-            on_complete,
-            latency=latency,
-            name=name,
+        return self._submit_tracked(
+            engine, dst.tier.name, size, links, on_complete, latency, name
         )
 
     # -- introspection -------------------------------------------------------
     def active_streams(self, device_id: str) -> int:
+        """Operations in flight on a device (flows crossing it under
+        fair share, open streams under snapshot)."""
         if self.engine is not None:
             return self.engine.flows_crossing(self._dev_resource[device_id])
         return self._device_streams[device_id]
 
     def active_net_streams(self, node_id: str) -> int:
+        """Operations in flight on a node's NIC (flows crossing it under
+        fair share, open network streams under snapshot)."""
         if self.engine is not None:
             return self.engine.flows_crossing(self._nic_resource[node_id])
         return self._net_streams[node_id]

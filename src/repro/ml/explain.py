@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.common.floats import fold_sum
 from repro.ml.gbt import GradientBoostedTrees, sigmoid
 from repro.ml.tree import RegressionTree, _Node
 
@@ -95,7 +96,7 @@ def explain_prediction(
         bias += lr * root_mean
         for feature, value in tree_contributions(tree, x).items():
             total[feature] = total.get(feature, 0.0) + lr * value
-    margin = bias + sum(total.values())
+    margin = bias + fold_sum(total.values())
     return Explanation(
         probability=float(sigmoid(np.array([margin]))[0]),
         bias=bias,

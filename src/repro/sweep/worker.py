@@ -42,6 +42,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Mapping
 
+from repro.common.floats import fold_sum
 from repro.common.proc import current_rss_mb
 
 #: Reserved configuration namespace: stripped from the cell's ``conf``
@@ -197,9 +198,7 @@ def run_cell(cell: Mapping[str, Any]) -> Dict[str, Any]:
         "pump_lead_mean_seconds": round(result.pump_lead_mean_seconds, 3),
         "pump_lead_max_seconds": round(result.pump_lead_max_seconds, 3),
         "pump_late_events": result.pump_late_events,
-        "queue_delay_seconds": round(
-            sum(result.queue_delay_by_tier.values()), 3
-        ),
+        "queue_delay_seconds": round(fold_sum(result.queue_delay_by_tier.values()), 3),
         # host measurements (informational; never fingerprinted)
         "runtime_seconds": round(wall, 3),
         "events_per_second": round(events / wall, 1) if wall > 0 else 0.0,

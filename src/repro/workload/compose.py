@@ -64,6 +64,7 @@ import json
 import os
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
+from repro.common.floats import fold_sum
 from repro.workload.jobs import (
     FileCreation,
     FileDeletion,
@@ -535,7 +536,7 @@ def _duration_of(spec: Mapping[str, Any]) -> float:
         return max(_duration_of(s) for s in spec["sources"])
     if op == "concat":
         durations = [_duration_of(s) for s in spec["sources"]]
-        return sum(durations) + spec["gap"] * (len(durations) - 1)
+        return fold_sum(durations) + spec["gap"] * (len(durations) - 1)
     if op == "timescale":
         return _duration_of(spec["source"]) * spec["factor"]
     if op == "until":

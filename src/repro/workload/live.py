@@ -87,6 +87,10 @@ LIVE_TRANSPORTS = ("stdin", "file", "fifo", "tcp", "listen")
 #: Default reorder-buffer depth (events held back for re-sorting).
 DEFAULT_REORDER_DEPTH = 64
 
+#: Longest wire record accepted, in characters without its newline.  A
+#: longer line fails the stream instead of being buffered whole.
+MAX_RECORD_LENGTH = 1 << 20
+
 
 @dataclass
 class LiveStats:
@@ -113,6 +117,7 @@ class LiveStats:
     end_sentinel_seen: bool = False
 
     def as_dict(self) -> Dict[str, Any]:
+        """The counters as a flat JSON-ready mapping."""
         return {
             "events_received": self.events_received,
             "events_emitted": self.events_emitted,
@@ -338,10 +343,17 @@ class LiveStream(WorkloadStream):
         line = ""
         # Loop (not recurse): producers may send blank-line keepalives.
         while not line.strip():
-            line = self._handle.readline()
+            line = self._handle.readline(MAX_RECORD_LENGTH + 1)
             if not line:
                 return None
             self._line_no += 1
+            # Checked before the keepalive test: a chunk that is only
+            # whitespace is still part of an oversized line.
+            if len(line) > MAX_RECORD_LENGTH and not line.endswith("\n"):
+                raise ValueError(
+                    f"{self.name}: oversized record at line {self._line_no} "
+                    f"(longer than {MAX_RECORD_LENGTH} characters)"
+                )
         stripped = line.strip()
         if not line.endswith("\n") and not self._seekable:
             # On a pipe/socket, a final line without its newline means
@@ -445,6 +457,7 @@ class LiveStream(WorkloadStream):
 
     # -- WorkloadStream ------------------------------------------------------
     def events(self) -> Iterator[StreamEvent]:
+        """Decode, re-sort and number the transport's events (once)."""
         if self._consumed:
             raise ValueError(
                 f"live stream {self.name!r} is single-shot: a pipe or socket "

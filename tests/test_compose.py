@@ -23,11 +23,13 @@ Property suite (hypothesis) plus unit coverage:
 
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.workload import compose as compose_module
 from repro.workload.compose import (
     ComposeSpecError,
     build_compose,
@@ -362,3 +364,22 @@ def test_ordering_guard_trips_on_decreasing_times():
                 [(100.0, [FileCreation("/x", 1, 50.0)])]
             )
         )
+
+
+class TestFoldedSums:
+    """A concat's duration folds its parts left to right, whatever
+    ``sum()`` does."""
+
+    #: A left-to-right fold gives 3.3636363636363633; a compensated sum
+    #: (Python >= 3.12 ``sum()``) rounds it to 3.3636363636363638.
+    TRIPLE = (1.0, 1.1818181818181819, 1.1818181818181819)
+
+    def test_concat_duration_is_a_left_to_right_fold(self, monkeypatch):
+        durations = dict(zip(("static", "mlscan", "flashcrowd"), self.TRIPLE))
+        # Shadow the builtin inside the module, as Python 3.12 would.
+        monkeypatch.setattr(compose_module, "sum", math.fsum, raising=False)
+        monkeypatch.setattr(
+            compose_module, "_leaf_duration", lambda spec: durations[spec["name"]]
+        )
+        stream = concat(*(scenario(name) for name in durations), gap=0.0)
+        assert stream.duration == 3.3636363636363633

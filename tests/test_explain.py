@@ -1,8 +1,12 @@
 """Tests for per-prediction path attribution."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.ml import explain as explain_module
 from repro.ml.explain import explain_prediction, tree_contributions
 from repro.ml.gbt import GBTParams, GradientBoostedTrees
 
@@ -72,3 +76,25 @@ class TestAttribution:
 
         with pytest.raises(ValueError):
             tree_contributions(RegressionTree(), np.zeros(3))
+
+
+class TestFoldedSums:
+    """The margin folds contributions left to right, whatever ``sum()``
+    does (Python >= 3.12 compensates it)."""
+
+    def test_margin_is_a_left_to_right_fold(self, monkeypatch):
+        # Contributions whose fold and compensated sum differ by 1.0:
+        # the fold loses the middle term, ``math.fsum`` keeps it.
+        contributions = {0: 1e16, 1: 1.0, 2: -1e16}
+        monkeypatch.setattr(explain_module, "sum", math.fsum, raising=False)
+        monkeypatch.setattr(explain_module, "_mean_value", lambda node: 0.0)
+        monkeypatch.setattr(
+            explain_module, "tree_contributions", lambda tree, x: contributions
+        )
+        model = SimpleNamespace(
+            base_margin=0.0,
+            params=SimpleNamespace(learning_rate=1.0),
+            trees=[SimpleNamespace(_root=None)],
+        )
+        explanation = explain_prediction(model, np.zeros(3))
+        assert explanation.probability == 0.5  # sigmoid(0.0), not sigmoid(1.0)

@@ -315,6 +315,122 @@ class TestEngineIncrementalEquivalence:
                 assert ta == pytest.approx(ts, rel=1e-6)
 
 
+def _rate_bits(rates, flows):
+    """Rates in ``flows`` order, bit for bit."""
+    return [rates[flow].hex() for flow in flows]
+
+
+class _WalkCheckingEngine(FairShareEngine):
+    """The production engine, checking each component walk as it runs.
+
+    Every walk must emit the historical sweep's order, and the rates
+    solved over it must be bit for bit those of the reference solver.
+    """
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        #: ``(seed flow_id, emitted flow_ids)`` per general walk.
+        self.walks = []
+
+    def _walk(self, seed, now):
+        expected = _BruteForceEngine._component_of(self, seed)
+        flows = super()._walk(seed, now)
+        assert flows == expected
+        self.walks.append((seed.flow_id, [flow.flow_id for flow in flows]))
+        return flows
+
+    def _solve(self, flows):
+        rates = super()._solve(flows)
+        reference = compute_max_min_rates_reference(flows)
+        assert _rate_bits(rates, flows) == _rate_bits(reference, flows)
+        return rates
+
+
+def _replay_registry_scenario(engine_cls, seed: int):
+    """Random registries: links drawn with replacement (duplicate links),
+    every scenario weight, and latencies that admit flows out of id
+    order.  Returns the engine and its completion log."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    engine = engine_cls(sim)
+    resources = [
+        Resource(f"r{i}", rng.uniform(50.0, 500.0))
+        for i in range(rng.randint(2, 7))
+    ]
+    log = []
+    for i in range(rng.randint(5, 50)):
+        links = [
+            (rng.choice(resources), rng.choice(SCENARIO_WEIGHTS))
+            for _ in range(rng.randint(1, 4))
+        ]
+        size = rng.uniform(100.0, 5000.0)
+        latency = rng.choice([0.0, rng.uniform(0.01, 3.0)])
+        start = rng.uniform(0.0, 20.0)
+        sim.at(
+            start,
+            lambda s=size, ln=links, la=latency, i=i: engine.submit(
+                s, ln, lambda t=i: log.append((sim.now(), t)), latency=la
+            ),
+        )
+    sim.run()
+    assert engine.active_flows == 0
+    return engine, log
+
+
+class TestComponentWalk:
+    """The one-pass walk against the historical sweep and the solvers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    def test_walk_matches_sweep_and_reference(self, seed):
+        engine, log = _replay_registry_scenario(_WalkCheckingEngine, seed)
+        _, brute = _replay_registry_scenario(_BruteForceEngine, seed)
+        assert log == brute
+
+    def test_random_registries_reach_the_walk(self):
+        walked = 0
+        for seed in range(10):
+            engine, _ = _replay_registry_scenario(_WalkCheckingEngine, seed)
+            walked += sum(len(flows) > 1 for _, flows in engine.walks)
+        assert walked > 0
+
+    def _engine_with(self, *links_by_flow):
+        sim = Simulator()
+        engine = _WalkCheckingEngine(sim)
+        flows = [
+            engine.submit(size, links, lambda: None)
+            for size, links in links_by_flow
+        ]
+        return sim, engine, flows
+
+    def test_finishing_seed_with_one_neighbour_reaches_its_chain(self):
+        # The finishing flow's only resource holds one other flow, whose
+        # other link reaches two more: the walk is not a one-flow
+        # component.
+        r0, r1, r2 = (Resource(f"r{i}", 100.0) for i in range(3))
+        sim, engine, (seed, x, y, z) = self._engine_with(
+            (10.0, [(r0, 1.0)]),
+            (1000.0, [(r0, 1.0), (r1, 1.0)]),
+            (1000.0, [(r1, 1.0)]),
+            (1000.0, [(r1, 1.0), (r2, 1.0)]),
+        )
+        sim.run()
+        assert (seed.flow_id, [x.flow_id, y.flow_id, z.flow_id]) in engine.walks
+
+    def test_flow_found_behind_the_cursor_waits_for_the_next_pass(self):
+        r0, r1 = Resource("r0", 100.0), Resource("r1", 100.0)
+        sim = Simulator()
+        engine = _WalkCheckingEngine(sim)
+        a = engine.submit(1000.0, [(r1, 1.0)], lambda: None)
+        b = engine.submit(1000.0, [(r0, 1.0), (r1, 2.0)], lambda: None)
+        seed = engine.submit(1000.0, [(r0, 1.5)], lambda: None)
+        # From r0 the sweep takes b, then the seed; a (admitted first)
+        # only becomes reachable through b, behind the cursor.
+        assert engine.walks[-1] == (seed.flow_id, [b.flow_id, seed.flow_id, a.flow_id])
+        sim.run()
+        assert engine.active_flows == 0
+
+
 class TestSolverExamples:
     """Hand-checkable allocations."""
 
@@ -349,6 +465,17 @@ class TestSolverExamples:
 
 class TestFairShareEngine:
     """Event-driven behaviour: re-pricing and rescheduling."""
+
+    def test_resource_demand_is_a_left_to_right_fold(self, monkeypatch):
+        sim = Simulator()
+        engine = FairShareEngine(sim)
+        r = Resource("dev", 1000.0)
+        flows = [engine.submit(1000.0, [(r, 1.0)], lambda: None) for _ in range(3)]
+        for flow, rate in zip(flows, TestWeightFold.TRIPLE):
+            flow.rate = rate
+        # Shadow the builtin inside the module, as Python 3.12 would.
+        monkeypatch.setattr(flows_module, "sum", math.fsum, raising=False)
+        assert engine.resource_demand(r) == 3.3636363636363633
 
     def test_single_flow_runs_at_full_rate(self):
         sim = Simulator()

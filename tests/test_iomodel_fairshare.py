@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.cluster.builder import build_local_cluster, build_tiered_cluster
@@ -106,6 +108,27 @@ class TestRePricing:
         sim2.run()
         assert done["first"] > alone * 1.4  # re-priced, not snapshot
         assert model2.engine.active_flows == 0
+
+    def test_finished_flows_leave_no_cyclic_garbage(self):
+        topology = build_local_cluster(num_workers=3)
+        sim, model = fair_model(topology)
+        device = node_device(topology, 0, "HDD")
+        node = topology.nodes[0].node_id
+        done = []
+        gc.collect()
+        gc.disable()
+        try:
+            # Contending reads take the general re-solve, the empty read
+            # the no-flow path; every finished flow must be freed by
+            # refcount alone.
+            for size in (64 * MB, 128 * MB, 0):
+                model.read(size, device.device_id, False, node, node,
+                           lambda: done.append(sim.now()))
+            sim.run()
+            assert len(done) == 3
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_remote_read_capped_by_network(self):
         topology = build_local_cluster(num_workers=3)

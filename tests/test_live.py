@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.engine.runner import SystemConfig, WorkloadRunner
 from repro.workload.external import ExternalTraceStream
 from repro.workload.jobs import FileCreation, TraceJob, event_time
-from repro.workload.live import LiveStream, open_live_source
+from repro.workload.live import MAX_RECORD_LENGTH, LiveStream, open_live_source
 from repro.workload.scenarios import build_scenario
 from repro.workload.serialize import event_to_dict, save_events
 from repro.workload.streams import StreamOrderError
@@ -131,6 +131,49 @@ class TestDecoding:
         stream = LiveStream(write(tmp_path, text))
         with pytest.raises(ValueError, match="corrupt"):
             list(stream.events())
+
+    def test_oversized_pipe_record_rejected(self):
+        huge = json.dumps({**create(2.0), "pad": "x" * MAX_RECORD_LENGTH})
+        text = jsonl(create(1.0)) + huge + "\n" + json.dumps(create(3.0)) + "\n"
+        read_fd, write_fd = os.pipe()
+
+        def produce():
+            # The reader gives up mid-record and closes its end.
+            try:
+                with os.fdopen(write_fd, "w") as sink:
+                    sink.write(text)
+            except BrokenPipeError:
+                pass
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        source = os.fdopen(read_fd, "r")
+        try:
+            with pytest.raises(ValueError, match="oversized record at line 3"):
+                list(LiveStream(source).events())
+        finally:
+            source.close()
+            producer.join()
+
+    def test_oversized_header_rejected(self, tmp_path):
+        text = json.dumps({"kind": "header", "pad": "x" * MAX_RECORD_LENGTH})
+        with pytest.raises(ValueError, match="oversized record at line 1"):
+            LiveStream(write(tmp_path, text + "\n"))
+
+    def test_oversized_whitespace_prefix_rejected(self, tmp_path):
+        # The first chunk of this line is only spaces; it must not pass
+        # for a keepalive and let the rest of the line through.
+        line = " " * (MAX_RECORD_LENGTH + 1) + json.dumps(create(2.0))
+        text = jsonl(create(1.0)) + line + "\n" + json.dumps(create(3.0)) + "\n"
+        stream = LiveStream(write(tmp_path, text))
+        with pytest.raises(ValueError, match="oversized record at line 3"):
+            list(stream.events())
+
+    def test_record_at_the_limit_accepted(self, tmp_path):
+        record = json.dumps(create(2.0))
+        padded = record + " " * (MAX_RECORD_LENGTH - len(record))
+        stream = LiveStream(write(tmp_path, jsonl(create(1.0)) + padded + "\n"))
+        assert len(list(stream.events())) == 2
 
     def test_corrupt_record_rejected(self, tmp_path):
         text = jsonl(create(1.0)) + "not json at all\n"

@@ -1,8 +1,11 @@
 """Tests for deterministic RNG distribution helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.common import rng as rng_module
 from repro.common.rng import (
     bounded_pareto,
     make_rng,
@@ -99,3 +102,26 @@ class TestWeightedChoice:
     def test_non_positive_total(self):
         with pytest.raises(ValueError):
             weighted_choice(make_rng(0), ["a", "b"], [0, 0])
+
+
+class TestFoldedSums:
+    """The weight total folds left to right, whatever ``sum()`` does."""
+
+    #: A left-to-right fold gives 3.3636363636363633; a compensated sum
+    #: (Python >= 3.12 ``sum()``) rounds it to 3.3636363636363638.
+    TRIPLE = (1.0, 1.1818181818181819, 1.1818181818181819)
+
+    def test_weighted_choice_normalizes_by_the_fold(self, monkeypatch):
+        # Shadow the builtin inside the module, as Python 3.12 would.
+        monkeypatch.setattr(rng_module, "sum", math.fsum, raising=False)
+        seen = []
+
+        class Recorder:
+            def choice(self, n, p):
+                seen.append(p)
+                return 0
+
+        weighted_choice(Recorder(), ["a", "b", "c"], self.TRIPLE)
+        weights = np.asarray(self.TRIPLE)
+        assert np.array_equal(seen[0], weights / 3.3636363636363633)
+        assert not np.array_equal(seen[0], weights / math.fsum(self.TRIPLE))

@@ -23,7 +23,12 @@ from repro.service import (
     result_to_dict,
 )
 from repro.workload.jobs import FileCreation, FileDeletion, TraceJob, event_time
-from repro.workload.live import LiveStream, paced_events, parse_endpoint
+from repro.workload.live import (
+    MAX_RECORD_LENGTH,
+    LiveStream,
+    paced_events,
+    parse_endpoint,
+)
 from repro.workload.scenarios import build_scenario
 from repro.workload.serialize import event_to_dict
 
@@ -568,6 +573,56 @@ class TestDaemon:
             )
             assert status == 200
             assert body["jobs_finished"] == tenant.collector.jobs_completed
+
+    def send_tenant(self, service, payload, state):
+        """Stream ``payload`` as one socket tenant; wait for ``state``."""
+        known = {t.tenant_id for t in service.engine.registry.list()}
+        with socket.create_connection(("127.0.0.1", service.data_port)) as conn:
+            try:
+                conn.sendall(payload)
+            except OSError:
+                pass  # the daemon may hang up on a tenant it failed
+        deadline = time.time() + 30.0
+        while time.time() < deadline:
+            fresh = [
+                t
+                for t in service.engine.registry.list()
+                if t.tenant_id not in known
+            ]
+            if fresh and fresh[0].state == state:
+                return fresh[0]
+            time.sleep(0.05)
+        raise AssertionError(f"no tenant reached {state!r}")
+
+    def test_oversized_record_fails_only_its_tenant(self, service):
+        good = scenario_jsonl(scale=0.02, seed=21).encode()
+        head = json.dumps({"kind": "header", "format_version": 1})
+        huge = json.dumps({**create(1.0), "pad": "x" * MAX_RECORD_LENGTH})
+        bad = self.send_tenant(service, f"{head}\n{huge}\n".encode(), "failed")
+        assert "oversized record" in bad.error
+        status, health = self.control(service, "/healthz")
+        assert status == 200 and health["status"] == "serving"
+        tenant = self.send_tenant(service, good, "finished")
+        _, metrics = self.control(service, f"/tenants/{tenant.tenant_id}/metrics")
+        drain_and_wait(service)
+
+        alone = TieringService(SystemConfig(label="daemon"), drain_grace=5.0)
+        alone.start()
+        try:
+            solo = self.send_tenant(alone, good, "finished")
+            _, solo_metrics = self.control(alone, f"/tenants/{solo.tenant_id}/metrics")
+            drain_and_wait(alone)
+        finally:
+            alone.stop()
+        assert metrics["jobs_finished"] > 0
+        # Everything but the tenant's identity (id, path prefix, peer).
+        identity = ("id", "prefix", "source")
+        for body in (metrics, solo_metrics):
+            for key in identity:
+                body["tenant"].pop(key)
+        assert json.dumps(metrics, sort_keys=True) == json.dumps(
+            solo_metrics, sort_keys=True
+        )
 
     def test_healthz_and_metrics_endpoints(self, service):
         status, health = self.control(service, "/healthz")

@@ -7,6 +7,7 @@ retry, and resume-without-recompute.
 """
 
 import json
+import math
 import os
 from collections import Counter
 
@@ -27,6 +28,7 @@ from repro.sweep import (
     run_cells,
     run_sweep,
 )
+from repro.sweep import worker as worker_module
 from repro.sweep.store import atomic_write_json, read_json
 
 #: A cheap two-cell spec (mlscan at tiny scale, two seeds) used by the
@@ -166,6 +168,25 @@ class TestWorker:
                     "events_processed", "runtime_seconds", "rss_mb"):
             assert key in row
         assert row["scenario"] == "mlscan"
+
+    def test_queue_delay_total_is_a_left_to_right_fold(self, monkeypatch):
+        from repro.engine.runner import WorkloadRunner
+
+        # Per-tier delays whose fold and compensated sum differ by 2.0.
+        delays = {"MEMORY": 1e16, "SSD": 1.0, "HDD": 1.0}
+        original = WorkloadRunner.run
+
+        def run(self):
+            result = original(self)
+            result.queue_delay_by_tier = dict(delays)
+            return result
+
+        monkeypatch.setattr(WorkloadRunner, "run", run)
+        # Shadow the builtin inside the module, as Python 3.12 would.
+        monkeypatch.setattr(worker_module, "sum", math.fsum, raising=False)
+        row = run_cell(make_cell(workload="mlscan", scale=0.05, seed=1).config)
+        assert row["queue_delay_seconds"] == 1e16
+        assert math.fsum(delays.values()) == 1e16 + 2.0
 
     def test_run_cell_is_deterministic(self):
         config = make_cell(workload="mlscan", scale=0.05, seed=1).config
