@@ -1,7 +1,9 @@
 """Fig 8: storage tier access distribution per bin."""
 
-from repro.cluster.hardware import StorageTier
+from repro.cluster.hardware import DEFAULT_HIERARCHY
 from repro.experiments.endtoend import render_fig08
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 def test_fig08_tier_access(benchmark, endtoend_fb, endtoend_cmu):
@@ -18,5 +20,5 @@ def test_fig08_tier_access(benchmark, endtoend_fb, endtoend_cmu):
         hdfs = result.runs["HDFS"].metrics.tier_access_distribution()
         xgb = result.runs["XGB"].metrics.tier_access_distribution()
         for bin_name in ("B", "D"):
-            assert hdfs[bin_name][StorageTier.HDD] == 1.0
-            assert xgb[bin_name][StorageTier.MEMORY] > 0.3
+            assert hdfs[bin_name][HDD] == 1.0
+            assert xgb[bin_name][MEMORY] > 0.3

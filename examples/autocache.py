@@ -11,7 +11,7 @@ rotating the cache toward the files being re-read.
 Run:  python examples/autocache.py
 """
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB, format_bytes
 from repro.core import ReplicationManager, configure_policies
@@ -50,7 +50,7 @@ def drive(sim, master, client) -> float:
             path = f"/data/f{j:02d}.bin"
             file = master.get_file(path)
             reads += 1
-            if master.blocks.file_has_tier(file, StorageTier.MEMORY):
+            if master.blocks.file_has_tier(file, master.hierarchy.highest):
                 hits += 1
             client.open(path)
         sim.run(until=sim.now() + 60)
@@ -61,11 +61,12 @@ def drive(sim, master, client) -> float:
 def main() -> None:
     sim, master, client, _ = build(cache_mode=False)
     static_hr = drive(sim, master, client)
-    static_mem = master.tier_used(StorageTier.MEMORY)
+    static_mem = master.tier_used(master.hierarchy.highest)
 
     sim, master, client, manager = build(cache_mode=True)
     auto_hr = drive(sim, master, client)
-    auto_mem = master.tier_used(StorageTier.MEMORY)
+    memory = master.hierarchy.highest
+    auto_mem = master.tier_used(memory)
 
     print("static HDFS cache (caches at write until memory fills):")
     print(f"  memory-location hit rate: {static_hr:.1%}")
@@ -74,8 +75,8 @@ def main() -> None:
     print(f"  memory-location hit rate: {auto_hr:.1%}")
     print(f"  memory in use at end:     {format_bytes(auto_mem)}")
     print(
-        f"  cached {format_bytes(manager.monitor.bytes_upgraded[StorageTier.MEMORY])}, "
-        f"evicted {format_bytes(manager.monitor.bytes_deleted[StorageTier.MEMORY])}"
+        f"  cached {format_bytes(manager.monitor.bytes_upgraded[memory])}, "
+        f"evicted {format_bytes(manager.monitor.bytes_deleted[memory])}"
     )
     if auto_hr > static_hr:
         print("-> the automated cache keeps serving the live working set "

@@ -11,7 +11,7 @@ Run:  python examples/custom_policy.py
 
 from typing import Optional
 
-from repro.cluster import StorageTier
+from repro.cluster import TierSpec
 from repro.core import ReplicationManager
 from repro.core.policy import DowngradePolicy
 from repro.core.registry import configure_policies
@@ -31,7 +31,7 @@ class GreedyDualSizePolicy(DowngradePolicy):
 
     name = "gds"
 
-    def select_file_to_downgrade(self, tier: StorageTier) -> Optional[INodeFile]:
+    def select_file_to_downgrade(self, tier: TierSpec) -> Optional[INodeFile]:
         candidates = self.ctx.files_on_tier(tier)
         if not candidates:
             return None

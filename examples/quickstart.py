@@ -8,7 +8,7 @@ back up when a cold file is read again.
 Run:  python examples/quickstart.py
 """
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import build_local_cluster
 from repro.common.units import GB, MB, format_bytes
 from repro.core import ReplicationManager, configure_policies
 from repro.dfs import DFSClient, Master, NodeManager, OctopusPlacementPolicy
@@ -39,8 +39,9 @@ def main() -> None:
         sim.run(until=sim.now() + 30)
     sim.run(until=sim.now() + 600)
 
-    mem = master.tier_utilization(StorageTier.MEMORY)
-    moved = manager.monitor.bytes_downgraded[StorageTier.MEMORY]
+    memory = master.hierarchy.highest
+    mem = master.tier_utilization(memory)
+    moved = manager.monitor.bytes_downgraded[memory]
     print(f"memory utilization: {mem:.1%} (held between the 85%/90% thresholds)")
     print(f"downgraded from memory: {format_bytes(moved)}")
     print(
@@ -55,7 +56,7 @@ def main() -> None:
         "after re-access:",
         [t.name for t in client.file_tiers("/data/first.bin")],
     )
-    upgraded = manager.monitor.bytes_upgraded[StorageTier.MEMORY]
+    upgraded = manager.monitor.bytes_upgraded[memory]
     print(f"upgraded into memory: {format_bytes(upgraded)}")
 
 

@@ -16,7 +16,7 @@ Usage::
     python -m repro experiment scenarios --jobs 4
     python -m repro sweep run --smoke --jobs 2 --out report.json
     python -m repro sweep run myspec.json --store sweeps --resume
-    python -m repro synthesize --workload CMU --out cmu.json
+    python -m repro synthesize --workload CMU --out cmu.jsonl.gz
     python -m repro list scenarios
     python -m repro list-experiments
 
@@ -720,14 +720,18 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    from repro.workload.serialize import save_events, save_trace
+    from repro.workload.serialize import save_events
 
+    if not args.out.endswith((".jsonl", ".jsonl.gz")):
+        print(
+            f"--out {args.out!r}: traces are written as JSONL; "
+            "use a .jsonl or .jsonl.gz path",
+            file=sys.stderr,
+        )
+        return 2
     profile = scaled_profile(PROFILES[args.workload], args.scale)
     trace = synthesize_trace(profile, seed=args.seed)
-    if args.out.endswith((".jsonl", ".jsonl.gz")):
-        save_events(trace, args.out)
-    else:
-        save_trace(trace, args.out)
+    save_events(trace, args.out)
     print(
         f"wrote {args.out}: {len(trace.jobs)} jobs, {trace.file_count} files, "
         f"{trace.total_bytes / GB:.1f} GB"
@@ -1194,7 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument(
         "--out",
         required=True,
-        help="output path (.json whole-trace, .jsonl[.gz] streaming JSONL)",
+        help="output path (.jsonl, or .jsonl.gz for gzip)",
     )
     p_syn.set_defaults(func=cmd_synthesize)
     return parser

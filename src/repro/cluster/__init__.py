@@ -8,15 +8,12 @@ capacities and media-dependent bandwidths.
 
 from repro.cluster.hardware import (
     DEFAULT_HIERARCHY,
-    DEFAULT_MEDIA_PROFILES,
     MediaProfile,
     StorageDevice,
-    StorageTier,
     TierHierarchy,
     TierSpec,
     get_hierarchy,
     hierarchy_names,
-    make_device,
     register_hierarchy,
 )
 from repro.cluster.node import Node, TierProvision, provision_for
@@ -29,7 +26,6 @@ from repro.cluster.builder import (
 )
 
 __all__ = [
-    "StorageTier",
     "TierSpec",
     "TierHierarchy",
     "DEFAULT_HIERARCHY",
@@ -38,8 +34,6 @@ __all__ = [
     "register_hierarchy",
     "MediaProfile",
     "StorageDevice",
-    "make_device",
-    "DEFAULT_MEDIA_PROFILES",
     "TierProvision",
     "provision_for",
     "Node",

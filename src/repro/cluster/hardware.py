@@ -14,11 +14,6 @@ experiment (Fig 2) produces paper-shaped throughput ratios: an HDD-only
 pipeline bottlenecks writes around ~90 MB/s per node, while serving
 reads from memory/SSD replicas yields the ~2-4x read speedups reported
 for HDFS-with-cache and OctopusFS.
-
-:class:`StorageTier` remains as a compatibility facade over the default
-3-tier hierarchy (``StorageTier.MEMORY`` etc.), so code and experiments
-written against the paper's fixed memory/SSD/HDD triple keep working
-unchanged and reproduce bit-identically.
 """
 
 from __future__ import annotations
@@ -83,6 +78,7 @@ class TierSpec:
     # -- hierarchy navigation ------------------------------------------------
     @property
     def hierarchy(self) -> "TierHierarchy":
+        """The hierarchy that owns this spec (raises if unbound)."""
         owner = getattr(self, "_hierarchy", None)
         if owner is None:
             raise ValueError(
@@ -92,10 +88,12 @@ class TierSpec:
 
     @property
     def is_highest(self) -> bool:
+        """True for the fastest tier of the owning hierarchy."""
         return self.hierarchy.tiers[0] is self
 
     @property
     def is_lowest(self) -> bool:
+        """True for the slowest tier of the owning hierarchy."""
         return self.hierarchy.tiers[-1] is self
 
     @property
@@ -128,12 +126,6 @@ class TierSpec:
 
     def __ge__(self, other: "TierSpec") -> bool:
         return self.level >= other.level
-
-    def __int__(self) -> int:
-        return self.level
-
-    def __index__(self) -> int:
-        return self.level
 
     def __str__(self) -> str:
         return self.name
@@ -323,10 +315,10 @@ def register_hierarchy(
             raise ValueError(f"hierarchy preset {name!r} already registered")
         if name in _PRESET_CACHE:
             # The preset was already materialized: clusters (and, for
-            # default3, the StorageTier facade) hold its TierSpec
-            # objects, whose equality is identity-based.  Replacing it
-            # would orphan them, so presets are replaceable only before
-            # first use.
+            # default3, DEFAULT_HIERARCHY) hold its TierSpec objects,
+            # whose equality is identity-based.  Replacing it would
+            # orphan them, so presets are replaceable only before first
+            # use.
             raise ValueError(
                 f"hierarchy preset {name!r} is already in use and cannot "
                 "be replaced; register a new preset name instead"
@@ -385,40 +377,6 @@ register_hierarchy(
 DEFAULT_HIERARCHY: TierHierarchy = get_hierarchy("default3")
 
 
-class _StorageTierMeta(type):
-    """Make the StorageTier facade iterable like the old IntEnum."""
-
-    def __iter__(cls) -> Iterator[TierSpec]:
-        return iter(DEFAULT_HIERARCHY.tiers)
-
-    def __len__(cls) -> int:
-        return len(DEFAULT_HIERARCHY)
-
-    def __getitem__(cls, name: str) -> TierSpec:
-        return DEFAULT_HIERARCHY.tier(name)
-
-
-class StorageTier(metaclass=_StorageTierMeta):
-    """Compatibility facade over the default 3-tier hierarchy.
-
-    Historically a 3-member IntEnum; now the attributes are the
-    ``default3`` hierarchy's :class:`TierSpec` objects, so existing code
-    and tests using ``StorageTier.MEMORY``, iteration, ordering, or
-    ``is`` comparisons keep working against default clusters.  New code
-    should take tiers from the cluster's hierarchy instead.
-    """
-
-    MEMORY: TierSpec = DEFAULT_HIERARCHY.tier("MEMORY")
-    SSD: TierSpec = DEFAULT_HIERARCHY.tier("SSD")
-    HDD: TierSpec = DEFAULT_HIERARCHY.tier("HDD")
-
-
-#: Default profiles keyed by the default hierarchy's tiers (legacy view).
-DEFAULT_MEDIA_PROFILES: Dict[TierSpec, MediaProfile] = {
-    t: t.media for t in DEFAULT_HIERARCHY
-}
-
-
 class StorageDevice:
     """One storage device (a memory slice, an SSD, an HDD, ...).
 
@@ -449,6 +407,7 @@ class StorageDevice:
 
     @property
     def free(self) -> int:
+        """Unallocated bytes."""
         return self.capacity - self.used
 
     @property
@@ -458,9 +417,11 @@ class StorageDevice:
 
     @property
     def replica_count(self) -> int:
+        """Number of replicas stored on this device."""
         return len(self._replicas)
 
     def has_space(self, num_bytes: int) -> bool:
+        """True if ``num_bytes`` more fit on this device."""
         return self.free >= num_bytes
 
     def allocate(self, replica_id: int, num_bytes: int) -> None:
@@ -490,6 +451,7 @@ class StorageDevice:
             self.usage_listener(self, -delta)
 
     def holds(self, replica_id: int) -> bool:
+        """True if the replica is stored on this device."""
         return replica_id in self._replicas
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -497,15 +459,3 @@ class StorageDevice:
             f"StorageDevice({self.device_id}, {self.tier.name}, "
             f"{self.used}/{self.capacity})"
         )
-
-
-def make_device(
-    device_id: str,
-    tier: TierSpec,
-    capacity: int,
-    profile: Optional[MediaProfile] = None,
-) -> StorageDevice:
-    """Convenience constructor using the tier's media profile by default."""
-    return StorageDevice(
-        device_id=device_id, tier=tier, capacity=capacity, profile=profile
-    )

@@ -11,7 +11,7 @@ by provisioning a subset of the cluster's :class:`TierHierarchy`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.hardware import (
     MediaProfile,
@@ -152,9 +152,6 @@ class Node:
                     best_utilization = utilization
         return best
 
-    def total_capacity(self) -> int:
-        return sum(d.capacity for d in self.devices())
-
     def total_used(self) -> int:
         return sum(d.used for d in self.devices())
 
@@ -164,11 +161,3 @@ class Node:
             for t in self.tiers()
         )
         return f"Node({self.node_id}, {parts})"
-
-
-def iter_tier_devices(
-    nodes: Iterable[Node], tier: TierSpec
-) -> Iterable[StorageDevice]:
-    """Yield every device of ``tier`` across ``nodes``."""
-    for node in nodes:
-        yield from node.devices(tier)

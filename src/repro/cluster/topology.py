@@ -92,10 +92,6 @@ class ClusterTopology:
         return list(self._nodes.values())
 
     @property
-    def alive_nodes(self) -> List[Node]:
-        return [n for n in self._nodes.values() if n.alive]
-
-    @property
     def racks(self) -> List[Rack]:
         return list(self._racks.values())
 

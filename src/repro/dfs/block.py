@@ -80,15 +80,6 @@ class BlockInfo:
     def replicas_on_tier(self, tier: TierSpec) -> List[ReplicaInfo]:
         return [r for r in self.replicas.values() if r.tier == tier]
 
-    def replicas_on_node(self, node_id: str) -> List[ReplicaInfo]:
-        return [r for r in self.replicas.values() if r.node_id == node_id]
-
-    def has_replica_on(self, node_id: str, tier: Optional[TierSpec] = None) -> bool:
-        for replica in self.replicas.values():
-            if replica.node_id == node_id and (tier is None or replica.tier == tier):
-                return True
-        return False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Block({self.block_id}, file={self.file_id}, idx={self.index}, "

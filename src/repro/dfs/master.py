@@ -92,11 +92,6 @@ class TransferTicket:
     committed: bool = False
     aborted: bool = False
 
-    @property
-    def is_move(self) -> bool:
-        """True for a move (the source is dropped on commit)."""
-        return self.source is not None
-
 
 class Master:
     """Coordinates namespace, blocks, placement, and tier transfers."""
@@ -133,10 +128,6 @@ class Master:
     def add_listener(self, listener: FileSystemListener) -> None:
         """Register ``listener`` for namespace and data callbacks."""
         self._listeners.append(listener)
-
-    def remove_listener(self, listener: FileSystemListener) -> None:
-        """Unregister ``listener``."""
-        self._listeners.remove(listener)
 
     def _notify(self, method: str, *args) -> None:
         for listener in self._listeners:

@@ -167,7 +167,3 @@ def format_table(
 
 def percent(value: float) -> str:
     return f"{value:.1f}%"
-
-
-def percent_map(values: Dict[str, float]) -> List[str]:
-    return [percent(values[name]) for name in sorted(values)]

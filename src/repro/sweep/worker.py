@@ -40,7 +40,7 @@ import os
 import signal
 import time
 from pathlib import Path
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Optional
 
 from repro.common.floats import fold_sum
 from repro.common.proc import current_rss_mb
@@ -223,6 +223,23 @@ def run_cell(cell: Mapping[str, Any]) -> Dict[str, Any]:
     return row
 
 
+def _payload(
+    cell_id: str,
+    config: Mapping[str, Any],
+    row: Optional[Dict[str, Any]],
+    error: Optional[Exception],
+) -> Dict[str, Any]:
+    """The store payload of one attempt: its row, or the error that ended it."""
+    return {
+        "cell_id": cell_id,
+        "cell": dict(config),
+        "status": "ok" if error is None else "failed",
+        "attempts": 1,
+        "error": None if error is None else f"{type(error).__name__}: {error}",
+        "row": row,
+    }
+
+
 def child_main(cell: Mapping[str, Any], store_root: str, name: str) -> int:
     """Subprocess entry: run the cell and persist its payload atomically.
 
@@ -238,28 +255,11 @@ def child_main(cell: Mapping[str, Any], store_root: str, name: str) -> int:
     try:
         row = run_cell(cell)
     except Exception as exc:  # deliberate: the payload carries the error
-        store.write_cell(
-            {
-                "cell_id": cell_id,
-                "cell": dict(cell),
-                "status": "failed",
-                "attempts": 1,
-                "error": f"{type(exc).__name__}: {exc}",
-                "row": None,
-            }
-        )
-        return 1
-    store.write_cell(
-        {
-            "cell_id": cell_id,
-            "cell": dict(cell),
-            "status": "ok",
-            "attempts": 1,
-            "error": None,
-            "row": row,
-        }
-    )
-    return 0
+        payload = _payload(cell_id, cell, None, exc)
+    else:
+        payload = _payload(cell_id, cell, row, None)
+    store.write_cell(payload)
+    return 0 if payload["status"] == "ok" else 1
 
 
 def execute_cell(cell, store) -> Dict[str, Any]:
@@ -267,22 +267,8 @@ def execute_cell(cell, store) -> Dict[str, Any]:
     try:
         row = run_cell(cell.config)
     except Exception as exc:
-        payload = {
-            "cell_id": cell.cell_id,
-            "cell": dict(cell.config),
-            "status": "failed",
-            "attempts": 1,
-            "error": f"{type(exc).__name__}: {exc}",
-            "row": None,
-        }
+        payload = _payload(cell.cell_id, cell.config, None, exc)
     else:
-        payload = {
-            "cell_id": cell.cell_id,
-            "cell": dict(cell.config),
-            "status": "ok",
-            "attempts": 1,
-            "error": None,
-            "row": row,
-        }
+        payload = _payload(cell.cell_id, cell.config, row, None)
     store.write_cell(payload)
     return payload

@@ -7,7 +7,7 @@ every per-bin figure (6, 7, 8, 10, 12, 13).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.common.units import GB, MB
 
@@ -47,17 +47,3 @@ def bin_for_size(size: int) -> SizeBin:
         if size_bin.contains(size):
             return size_bin
     return BINS[-1]
-
-
-def bin_index(name: str) -> int:
-    for i, size_bin in enumerate(BINS):
-        if size_bin.name == name:
-            return i
-    raise ValueError(f"unknown bin {name!r}")
-
-
-def bin_by_name(name: str) -> Optional[SizeBin]:
-    for size_bin in BINS:
-        if size_bin.name == name:
-            return size_bin
-    return None

@@ -142,13 +142,6 @@ class Trace:
             return 0.0
         return sum(1 for c in counts.values() if c == 0) / len(counts)
 
-    def frequently_read_fraction(self, threshold: int = 5) -> float:
-        """Fraction of files accessed more than ``threshold`` times."""
-        counts = self.access_counts()
-        if not counts:
-            return 0.0
-        return sum(1 for c in counts.values() if c > threshold) / len(counts)
-
     def jobs_per_bin(self) -> Dict[str, int]:
         result = {b.name: 0 for b in BINS}
         for job in self.jobs:

@@ -1,21 +1,15 @@
-"""Trace import/export: whole-trace JSON and streaming JSONL.
+"""Trace import/export in the streaming JSONL format.
 
-Two formats live here:
-
-* **Whole-trace JSON** (:func:`save_trace` / :func:`load_trace`): one
-  document holding the complete trace.  Simple, but requires the trace
-  to fit in memory on both ends.
-* **Streaming JSONL** (:func:`save_events` / :func:`iter_events` /
-  :class:`EventWriter`): one event per line, readable and writable
-  incrementally, transparently gzip-compressed for ``*.gz`` paths.  An
-  optional header line carries the workload name and duration; an
-  optional ``{"kind": "end"}`` sentinel line marks a clean end of
-  stream (pipes and sockets cannot always rely on EOF).  This is the
-  on-disk *and* on-the-wire form of the stream protocol
-  (:mod:`repro.workload.streams`, :mod:`repro.workload.live`) and the
-  JSONL half of the external trace schema
-  (:mod:`repro.workload.external`).  The full line schema is specified
-  in ``docs/stream-protocol.md``.
+:func:`save_events` / :func:`iter_events` / :class:`EventWriter` write
+and read one event per line, incrementally, transparently
+gzip-compressed for ``*.gz`` paths.  An optional header line carries
+the workload name and duration; an optional ``{"kind": "end"}``
+sentinel line marks a clean end of stream (pipes and sockets cannot
+always rely on EOF).  This is the on-disk *and* on-the-wire form of the
+stream protocol (:mod:`repro.workload.streams`,
+:mod:`repro.workload.live`) and the JSONL half of the external trace
+schema (:mod:`repro.workload.external`).  The full line schema is
+specified in ``docs/stream-protocol.md``.
 
 Synthesized workloads are deterministic given a seed, but exporting a
 trace pins the exact event sequence for sharing, regression baselines,
@@ -39,8 +33,6 @@ from repro.workload.jobs import (
     event_time,
 )
 
-FORMAT_VERSION = 1
-
 #: Streaming JSONL format version (header line ``kind: "header"``).
 EVENT_FORMAT_VERSION = 1
 
@@ -48,67 +40,6 @@ EVENT_FORMAT_VERSION = 1
 END_KIND = "end"
 
 
-def trace_to_dict(trace: Trace) -> Dict[str, Any]:
-    return {
-        "format_version": FORMAT_VERSION,
-        "name": trace.name,
-        "duration": trace.duration,
-        "creations": [
-            {"path": c.path, "size": c.size, "time": c.time}
-            for c in trace.creations
-        ],
-        "jobs": [
-            {
-                "job_id": j.job_id,
-                "submit_time": j.submit_time,
-                "input_paths": list(j.input_paths),
-                "input_size": j.input_size,
-                "outputs": [
-                    {"path": o.path, "size": o.size} for o in j.outputs
-                ],
-                "cpu_seconds_per_byte": j.cpu_seconds_per_byte,
-            }
-            for j in trace.jobs
-        ],
-    }
-
-
-def trace_from_dict(data: Dict[str, Any]) -> Trace:
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported trace format version: {version!r}")
-    trace = Trace(name=data["name"], duration=float(data["duration"]))
-    trace.creations = [
-        FileCreation(c["path"], int(c["size"]), float(c["time"]))
-        for c in data["creations"]
-    ]
-    trace.jobs = [
-        TraceJob(
-            job_id=int(j["job_id"]),
-            submit_time=float(j["submit_time"]),
-            input_paths=list(j["input_paths"]),
-            input_size=int(j["input_size"]),
-            outputs=[OutputSpec(o["path"], int(o["size"])) for o in j["outputs"]],
-            cpu_seconds_per_byte=float(j["cpu_seconds_per_byte"]),
-        )
-        for j in data["jobs"]
-    ]
-    return trace
-
-
-def save_trace(trace: Trace, path: str) -> None:
-    """Write the trace to ``path`` as JSON."""
-    with open(path, "w") as handle:
-        json.dump(trace_to_dict(trace), handle)
-
-
-def load_trace(path: str) -> Trace:
-    """Load a trace previously written by :func:`save_trace`."""
-    with open(path) as handle:
-        return trace_from_dict(json.load(handle))
-
-
-# -- streaming JSONL ---------------------------------------------------------
 def _open_text(path: str, mode: str) -> IO[str]:
     """Open ``path`` for text I/O, transparently gzipped for ``*.gz``."""
     if path.endswith(".gz"):

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.cluster import StorageTier
+from repro.cluster import DEFAULT_HIERARCHY
 from repro.common.errors import InvalidPathError
 from repro.common.units import MB
 from repro.dfs import FileSystemListener
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 class RecordingListener(FileSystemListener):
@@ -41,7 +43,7 @@ class TestAppend:
         master.add_listener(listener)
         client.append("/f", 64 * MB)
         assert listener.modified == ["/f"]
-        assert StorageTier.MEMORY in listener.data_added
+        assert MEMORY in listener.data_added
 
     def test_append_updates_modification_time(self, master, client, sim):
         client.create("/f", 64 * MB)

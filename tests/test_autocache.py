@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.core import DowngradeAction, ReplicationManager, configure_policies
@@ -10,6 +10,8 @@ from repro.dfs import DFSClient, Master, NodeManager
 from repro.dfs.placement import HdfsPlacementPolicy
 from repro.engine.runner import SystemConfig
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 def hdfs_stack(conf=None, workers=4, memory_per_node=1 * GB):
@@ -51,14 +53,14 @@ class TestDowngradeAction:
         sim, master, client, manager = hdfs_stack(CACHE_CONF)
         configure_policies(manager, downgrade="lru")
         file = client.create("/f", 64 * MB)
-        action = manager.downgrade_policy.how_to_downgrade(file, StorageTier.MEMORY)
+        action = manager.downgrade_policy.how_to_downgrade(file, MEMORY)
         assert action is DowngradeAction.DELETE
 
     def test_default_action_is_move(self):
         sim, master, client, manager = hdfs_stack()
         configure_policies(manager, downgrade="lru")
         file = client.create("/f", 64 * MB)
-        action = manager.downgrade_policy.how_to_downgrade(file, StorageTier.MEMORY)
+        action = manager.downgrade_policy.how_to_downgrade(file, MEMORY)
         assert action is DowngradeAction.MOVE
 
     def test_invalid_action_rejected(self):
@@ -73,12 +75,12 @@ class TestCacheCopyUpgrade:
         configure_policies(manager, downgrade="lru", upgrade="osa")
         file = client.create("/f", 64 * MB)
         block = master.blocks.blocks_of(file)[0]
-        hdd_before = len(block.replicas_on_tier(StorageTier.HDD))
-        assert not block.replicas_on_tier(StorageTier.MEMORY)
+        hdd_before = len(block.replicas_on_tier(HDD))
+        assert not block.replicas_on_tier(MEMORY)
         client.open("/f")  # OSA admission schedules a cache copy
         sim.run(until=sim.now() + 120)
-        assert len(block.replicas_on_tier(StorageTier.HDD)) == hdd_before
-        assert len(block.replicas_on_tier(StorageTier.MEMORY)) == 1
+        assert len(block.replicas_on_tier(HDD)) == hdd_before
+        assert len(block.replicas_on_tier(MEMORY)) == 1
 
     def test_cached_replica_colocated_when_possible(self):
         sim, master, client, manager = hdfs_stack(CACHE_CONF, workers=6)
@@ -88,7 +90,7 @@ class TestCacheCopyUpgrade:
         holders = set(block.nodes())
         client.open("/f")
         sim.run(until=sim.now() + 120)
-        cached = block.replicas_on_tier(StorageTier.MEMORY)
+        cached = block.replicas_on_tier(MEMORY)
         assert len(cached) == 1
         assert cached[0].node_id in holders
 
@@ -97,11 +99,11 @@ class TestCacheCopyUpgrade:
         configure_policies(manager, downgrade="lru", upgrade="osa")
         file = client.create("/f", 64 * MB)
         block = master.blocks.blocks_of(file)[0]
-        hdd_before = len(block.replicas_on_tier(StorageTier.HDD))
+        hdd_before = len(block.replicas_on_tier(HDD))
         client.open("/f")
         sim.run(until=sim.now() + 120)
-        assert len(block.replicas_on_tier(StorageTier.MEMORY)) == 1
-        assert len(block.replicas_on_tier(StorageTier.HDD)) == hdd_before - 1
+        assert len(block.replicas_on_tier(MEMORY)) == 1
+        assert len(block.replicas_on_tier(HDD)) == hdd_before - 1
 
 
 class TestCacheEviction:
@@ -117,14 +119,14 @@ class TestCacheEviction:
             sim.run(until=sim.now() + 60)
         sim.run(until=sim.now() + 600)
         monitor = manager.monitor
-        assert monitor.bytes_deleted[StorageTier.MEMORY] > 0
+        assert monitor.bytes_deleted[MEMORY] > 0
         # Nothing was *moved* down: cache evictions are deletions.
-        assert monitor.bytes_downgraded[StorageTier.MEMORY] == 0
+        assert monitor.bytes_downgraded[MEMORY] == 0
         # Persistent replication is untouched: every block still has 3
         # HDD replicas.
         for file in master.files():
             for block in master.blocks.blocks_of(file):
-                assert len(block.replicas_on_tier(StorageTier.HDD)) == 3
+                assert len(block.replicas_on_tier(HDD)) == 3
 
 
 class TestHealthScanCacheExemption:
@@ -137,12 +139,12 @@ class TestHealthScanCacheExemption:
         client.open("/f")
         sim.run(until=sim.now() + 120)
         block = master.blocks.blocks_of(file)[0]
-        assert len(block.replicas_on_tier(StorageTier.MEMORY)) == 1
+        assert len(block.replicas_on_tier(MEMORY)) == 1
         manager.monitor.health_scan()
         sim.run(until=sim.now() + 120)
         # 3 HDD + 1 cached memory replica: not over-replicated in cache mode.
-        assert len(block.replicas_on_tier(StorageTier.MEMORY)) == 1
-        assert len(block.replicas_on_tier(StorageTier.HDD)) == 3
+        assert len(block.replicas_on_tier(MEMORY)) == 1
+        assert len(block.replicas_on_tier(HDD)) == 3
 
     def test_under_replication_repaired_on_persistent_tiers(self):
         sim, master, client, manager = hdfs_stack(
@@ -154,17 +156,13 @@ class TestHealthScanCacheExemption:
         sim.run(until=sim.now() + 120)
         block = master.blocks.blocks_of(file)[0]
         # Drop one persistent replica; the cached one must not count.
-        master.delete_replica(block.replicas_on_tier(StorageTier.HDD)[0])
+        master.delete_replica(block.replicas_on_tier(HDD)[0])
         manager.monitor.health_scan()
         sim.run(until=sim.now() + 300)
-        persistent = [
-            r
-            for r in block.replica_list()
-            if r.tier is not StorageTier.MEMORY
-        ]
+        persistent = [r for r in block.replica_list() if r.tier is not MEMORY]
         assert len(persistent) == 3
         # The cached copy survived the repair round untouched.
-        assert len(block.replicas_on_tier(StorageTier.MEMORY)) == 1
+        assert len(block.replicas_on_tier(MEMORY)) == 1
 
 
 class TestAutoCacheExperiment:

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.errors import ReplicaNotFoundError
 from repro.common.units import MB
 from repro.dfs.block import split_into_block_sizes
 from repro.dfs.block_manager import BlockManager
 from repro.dfs.namespace import FSDirectory
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 @pytest.fixture
@@ -48,9 +50,9 @@ class TestReplicaLifecycle:
     def test_add_replica_charges_device(self, setup):
         topo, manager, file = setup
         block = manager.allocate_block(file, 0, 128 * MB)
-        device = first_device(topo, 0, StorageTier.MEMORY)
+        device = first_device(topo, 0, MEMORY)
         replica = manager.add_replica(
-            block, topo.nodes[0].node_id, StorageTier.MEMORY, device.device_id
+            block, topo.nodes[0].node_id, MEMORY, device.device_id
         )
         assert device.used == 128 * MB
         assert block.replica_count == 1
@@ -59,9 +61,9 @@ class TestReplicaLifecycle:
     def test_remove_replica_releases_device(self, setup):
         topo, manager, file = setup
         block = manager.allocate_block(file, 0, 128 * MB)
-        device = first_device(topo, 0, StorageTier.MEMORY)
+        device = first_device(topo, 0, MEMORY)
         replica = manager.add_replica(
-            block, topo.nodes[0].node_id, StorageTier.MEMORY, device.device_id
+            block, topo.nodes[0].node_id, MEMORY, device.device_id
         )
         manager.remove_replica(replica)
         assert device.used == 0
@@ -72,9 +74,9 @@ class TestReplicaLifecycle:
     def test_double_remove_rejected(self, setup):
         topo, manager, file = setup
         block = manager.allocate_block(file, 0, MB)
-        device = first_device(topo, 0, StorageTier.SSD)
+        device = first_device(topo, 0, SSD)
         replica = manager.add_replica(
-            block, topo.nodes[0].node_id, StorageTier.SSD, device.device_id
+            block, topo.nodes[0].node_id, SSD, device.device_id
         )
         manager.remove_replica(replica)
         with pytest.raises(ReplicaNotFoundError):
@@ -84,10 +86,8 @@ class TestReplicaLifecycle:
         topo, manager, file = setup
         for i in range(2):
             block = manager.allocate_block(file, i, 128 * MB)
-            device = first_device(topo, i, StorageTier.HDD)
-            manager.add_replica(
-                block, topo.nodes[i].node_id, StorageTier.HDD, device.device_id
-            )
+            device = first_device(topo, i, HDD)
+            manager.add_replica(block, topo.nodes[i].node_id, HDD, device.device_id)
         removed = manager.remove_file_blocks(file)
         assert len(removed) == 2
         assert manager.block_count() == 0
@@ -99,21 +99,21 @@ class TestReplicaLifecycle:
         topo, manager, file = setup
         block = manager.allocate_block(file, 0, MB)
         node = topo.nodes[1]
-        device = node.devices(StorageTier.MEMORY)[0]
-        manager.add_replica(block, node.node_id, StorageTier.MEMORY, device.device_id)
-        assert len(manager.replicas_on(node.node_id, StorageTier.MEMORY)) == 1
-        assert manager.replicas_on(node.node_id, StorageTier.HDD) == []
+        device = node.devices(MEMORY)[0]
+        manager.add_replica(block, node.node_id, MEMORY, device.device_id)
+        assert len(manager.replicas_on(node.node_id, MEMORY)) == 1
+        assert manager.replicas_on(node.node_id, HDD) == []
 
     def test_add_replica_rejects_device_of_other_node_or_tier(self, setup):
         topo, manager, file = setup
         block = manager.allocate_block(file, 0, MB)
         node = topo.nodes[0]
-        other = first_device(topo, 1, StorageTier.MEMORY)
-        ssd = first_device(topo, 0, StorageTier.SSD)
+        other = first_device(topo, 1, MEMORY)
+        ssd = first_device(topo, 0, SSD)
         for tier, device_id in (
-            (StorageTier.MEMORY, other.device_id),  # another node's device
-            (StorageTier.MEMORY, ssd.device_id),  # this node, another tier
-            (StorageTier.MEMORY, "no-such-device"),
+            (MEMORY, other.device_id),  # another node's device
+            (MEMORY, ssd.device_id),  # this node, another tier
+            (MEMORY, "no-such-device"),
         ):
             with pytest.raises(ReplicaNotFoundError) as err:
                 manager.add_replica(block, node.node_id, tier, device_id)
@@ -129,17 +129,15 @@ class TestReplicaLifecycle:
         topo, manager, file = setup
         block = manager.allocate_block(file, 0, MB)
         node = topo.nodes[0]
-        device = first_device(topo, 0, StorageTier.HDD)
-        replica = manager.add_replica(
-            block, node.node_id, StorageTier.HDD, device.device_id
-        )
-        bogus = first_device(topo, 2, StorageTier.HDD).device_id
+        device = first_device(topo, 0, HDD)
+        replica = manager.add_replica(block, node.node_id, HDD, device.device_id)
+        bogus = first_device(topo, 2, HDD).device_id
         replica.device_id = bogus
         with pytest.raises(ReplicaNotFoundError) as err:
             manager.remove_replica(replica)
         message = str(err.value)
         assert node.node_id in message
-        assert StorageTier.HDD.name in message
+        assert HDD.name in message
         assert bogus in message
         assert device.used == MB  # nothing was released
 
@@ -161,14 +159,14 @@ class TestFileTierQueries:
             topo,
             file,
             [
-                [(0, StorageTier.MEMORY), (1, StorageTier.HDD)],
-                [(0, StorageTier.SSD), (1, StorageTier.HDD)],
+                [(0, MEMORY), (1, HDD)],
+                [(0, SSD), (1, HDD)],
             ],
         )
         # Only HDD holds *every* block.
-        assert manager.file_tiers(file) == {StorageTier.HDD}
-        assert manager.file_best_tier(file) is StorageTier.HDD
-        assert not manager.file_has_tier(file, StorageTier.MEMORY)
+        assert manager.file_tiers(file) == {HDD}
+        assert manager.file_best_tier(file) is HDD
+        assert not manager.file_has_tier(file, MEMORY)
 
     def test_file_has_tier_or_better(self, setup):
         topo, manager, file = setup
@@ -176,10 +174,10 @@ class TestFileTierQueries:
             manager,
             topo,
             file,
-            [[(0, StorageTier.MEMORY)], [(1, StorageTier.MEMORY)]],
+            [[(0, MEMORY)], [(1, MEMORY)]],
         )
-        assert manager.file_has_tier_or_better(file, StorageTier.SSD)
-        assert manager.file_has_tier_or_better(file, StorageTier.MEMORY)
+        assert manager.file_has_tier_or_better(file, SSD)
+        assert manager.file_has_tier_or_better(file, MEMORY)
 
     def test_empty_file_has_no_tiers(self, setup):
         _, manager, file = setup
@@ -192,26 +190,22 @@ class TestFileTierQueries:
             manager,
             topo,
             file,
-            [[(0, StorageTier.MEMORY), (1, StorageTier.MEMORY)]],
+            [[(0, MEMORY), (1, MEMORY)]],
         )
-        assert manager.file_bytes_on_tier(file, StorageTier.MEMORY) == 128 * MB
-        assert manager.file_bytes_on_tier(file, StorageTier.SSD) == 0
+        assert manager.file_bytes_on_tier(file, MEMORY) == 128 * MB
+        assert manager.file_bytes_on_tier(file, SSD) == 0
 
 
 class TestReplicationHealth:
     def test_under_and_over_replicated(self, setup):
         topo, manager, file = setup  # replication factor 2
         block = manager.allocate_block(file, 0, MB)
-        device = first_device(topo, 0, StorageTier.HDD)
-        manager.add_replica(
-            block, topo.nodes[0].node_id, StorageTier.HDD, device.device_id
-        )
+        device = first_device(topo, 0, HDD)
+        manager.add_replica(block, topo.nodes[0].node_id, HDD, device.device_id)
         assert manager.under_replicated([file]) == [block]
         assert manager.over_replicated([file]) == []
         for idx in (1, 2):
-            device = first_device(topo, idx, StorageTier.HDD)
-            manager.add_replica(
-                block, topo.nodes[idx].node_id, StorageTier.HDD, device.device_id
-            )
+            device = first_device(topo, idx, HDD)
+            manager.add_replica(block, topo.nodes[idx].node_id, HDD, device.device_id)
         assert manager.under_replicated([file]) == []
         assert manager.over_replicated([file]) == [block]

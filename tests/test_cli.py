@@ -54,22 +54,20 @@ class TestCommands:
         assert "jobs finished" in out
 
     def test_synthesize_writes_json(self, tmp_path, capsys):
-        out_path = tmp_path / "trace.json"
-        code = main(
-            [
-                "synthesize",
-                "--workload",
-                "CMU",
-                "--scale",
-                "0.05",
-                "--out",
-                str(out_path),
-            ]
-        )
-        assert code == 0
-        data = json.loads(out_path.read_text())
-        assert data["name"] == "CMU"
-        assert data["jobs"]
+        # Traces are written as JSONL only; other suffixes are rejected
+        # before anything is synthesized or written.
+        from repro.workload.jobs import TraceJob
+        from repro.workload.serialize import iter_events, read_stream_header
+
+        args = ["synthesize", "--workload", "CMU", "--scale", "0.05", "--out"]
+        rejected = tmp_path / "trace.json"
+        assert main(args + [str(rejected)]) == 2
+        assert ".jsonl" in capsys.readouterr().err
+        assert not rejected.exists()
+        out_path = tmp_path / "trace.jsonl"
+        assert main(args + [str(out_path)]) == 0
+        assert read_stream_header(str(out_path))["name"] == "CMU"
+        assert any(isinstance(e, TraceJob) for e in iter_events(str(out_path)))
 
 
 class TestListDiscovery:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cluster import StorageTier
+from repro.cluster import DEFAULT_HIERARCHY
 from repro.common.units import MB
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 class TestClientApi:
@@ -55,4 +57,4 @@ class TestClientApi:
     def test_file_tiers(self, client):
         client.create("/f", 128 * MB)
         tiers = client.file_tiers("/f")
-        assert tiers == [StorageTier.MEMORY, StorageTier.SSD, StorageTier.HDD]
+        assert tiers == [MEMORY, SSD, HDD]

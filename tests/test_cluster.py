@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cluster import (
+    DEFAULT_HIERARCHY,
     ClusterTopology,
     Node,
-    StorageTier,
     TierProvision,
     build_cluster,
     build_ec2_cluster,
@@ -13,14 +13,16 @@ from repro.cluster import (
 )
 from repro.common.units import GB
 
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
+
 
 def two_tier_node(node_id="n0", rack="r0"):
     return Node(
         node_id,
         rack,
         [
-            TierProvision(StorageTier.MEMORY, 4 * GB),
-            TierProvision(StorageTier.HDD, 12 * GB, num_devices=3),
+            TierProvision(MEMORY, 4 * GB),
+            TierProvision(HDD, 12 * GB, num_devices=3),
         ],
     )
 
@@ -28,37 +30,37 @@ def two_tier_node(node_id="n0", rack="r0"):
 class TestNode:
     def test_devices_per_tier(self):
         node = two_tier_node()
-        assert len(node.devices(StorageTier.MEMORY)) == 1
-        assert len(node.devices(StorageTier.HDD)) == 3
+        assert len(node.devices(MEMORY)) == 1
+        assert len(node.devices(HDD)) == 3
         assert len(node.devices()) == 4
 
     def test_tier_capacity_split_across_devices(self):
         node = two_tier_node()
-        assert node.tier_capacity(StorageTier.HDD) == 12 * GB
-        for device in node.devices(StorageTier.HDD):
+        assert node.tier_capacity(HDD) == 12 * GB
+        for device in node.devices(HDD):
             assert device.capacity == 4 * GB
 
     def test_missing_tier(self):
         node = two_tier_node()
-        assert not node.has_tier(StorageTier.SSD)
-        assert node.tier_utilization(StorageTier.SSD) == 1.0
-        assert node.tiers() == [StorageTier.MEMORY, StorageTier.HDD]
+        assert not node.has_tier(SSD)
+        assert node.tier_utilization(SSD) == 1.0
+        assert node.tiers() == [MEMORY, HDD]
 
     def test_best_device_prefers_emptiest(self):
         node = two_tier_node()
-        first = node.devices(StorageTier.HDD)[0]
+        first = node.devices(HDD)[0]
         first.allocate(1, 1 * GB)
-        best = node.best_device_for(StorageTier.HDD, 1 * GB)
+        best = node.best_device_for(HDD, 1 * GB)
         assert best is not first
 
     def test_best_device_none_when_full(self):
         node = two_tier_node()
-        assert node.best_device_for(StorageTier.MEMORY, 5 * GB) is None
+        assert node.best_device_for(MEMORY, 5 * GB) is None
 
     def test_utilization_aggregates(self):
         node = two_tier_node()
-        node.devices(StorageTier.MEMORY)[0].allocate(1, 1 * GB)
-        assert node.tier_utilization(StorageTier.MEMORY) == pytest.approx(0.25)
+        node.devices(MEMORY)[0].allocate(1, 1 * GB)
+        assert node.tier_utilization(MEMORY) == pytest.approx(0.25)
         assert node.total_used() == 1 * GB
 
 
@@ -84,8 +86,8 @@ class TestTopology:
         topo = ClusterTopology()
         for i in range(3):
             topo.add_node(two_tier_node(f"n{i}"))
-        assert topo.tier_capacity(StorageTier.MEMORY) == 12 * GB
-        assert topo.tier_utilization(StorageTier.SSD) == 1.0
+        assert topo.tier_capacity(MEMORY) == 12 * GB
+        assert topo.tier_utilization(SSD) == 1.0
 
     def test_lookup(self):
         topo = ClusterTopology()
@@ -100,16 +102,16 @@ class TestBuilders:
         topo = build_local_cluster()
         assert len(topo) == 11
         node = topo.nodes[0]
-        assert node.tier_capacity(StorageTier.MEMORY) == 4 * GB
-        assert node.tier_capacity(StorageTier.SSD) == 64 * GB
-        assert node.tier_capacity(StorageTier.HDD) == 400 * GB
-        assert len(node.devices(StorageTier.HDD)) == 3
+        assert node.tier_capacity(MEMORY) == 4 * GB
+        assert node.tier_capacity(SSD) == 64 * GB
+        assert node.tier_capacity(HDD) == 400 * GB
+        assert len(node.devices(HDD)) == 3
         assert node.task_slots == 8
 
     def test_racks_filled_in_order(self):
         topo = build_cluster(
             8,
-            [TierProvision(StorageTier.HDD, 1 * GB)],
+            [TierProvision(HDD, 1 * GB)],
             rack_size=3,
         )
         racks = {n.rack for n in topo.nodes}
@@ -121,7 +123,7 @@ class TestBuilders:
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            build_cluster(0, [TierProvision(StorageTier.HDD, GB)])
+            build_cluster(0, [TierProvision(HDD, GB)])
 
     def test_total_slots(self):
         topo = build_local_cluster(num_workers=4, task_slots=6)

@@ -67,8 +67,8 @@ class TestDfsioRunner:
         managed_late = managed.write_curve(4)[-1][1]
         assert managed_late >= 0.9 * plain_late
         monitor = runner_managed.runner.manager.monitor
-        from repro.cluster import StorageTier
-
-        assert monitor.bytes_downgraded[StorageTier.MEMORY] > 0
-        util = runner_managed.runner.master.tier_utilization(StorageTier.MEMORY)
+        master = runner_managed.runner.master
+        memory = master.hierarchy.highest
+        assert monitor.bytes_downgraded[memory] > 0
+        util = master.tier_utilization(memory)
         assert util <= 0.95

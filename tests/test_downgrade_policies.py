@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, HOURS, MB
 from repro.core import ReplicationManager, configure_policies
@@ -17,6 +17,8 @@ from repro.core.downgrade import (
 from repro.core.policy import DowngradeAction
 from repro.dfs import DFSClient, Master, NodeManager, OctopusPlacementPolicy
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 @pytest.fixture
@@ -61,7 +63,7 @@ class TestLru:
         )
         sim.run(until=sim.now() + 10)
         client.open("/a")  # /a becomes most recent; /b is now oldest
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path == "/b"
 
     def test_unread_files_ranked_by_creation(self, stack):
@@ -69,17 +71,17 @@ class TestLru:
         policy = LruDowngradePolicy(manager.ctx)
         manager.set_downgrade_policy(policy)
         create_files(client, sim, [("/old", 64 * MB, 1), ("/new", 64 * MB, 60)])
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/old"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/old"
 
     def test_none_when_tier_empty(self, stack):
         _, _, _, manager = stack
         policy = LruDowngradePolicy(manager.ctx)
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY) is None
+        assert policy.select_file_to_downgrade(MEMORY) is None
 
     def test_default_action_is_move(self, stack):
         _, _, _, manager = stack
         policy = LruDowngradePolicy(manager.ctx)
-        assert policy.how_to_downgrade(None, StorageTier.MEMORY) is DowngradeAction.MOVE
+        assert policy.how_to_downgrade(None, MEMORY) is DowngradeAction.MOVE
 
 
 class TestLruLateAttach:
@@ -106,13 +108,13 @@ class TestLruLateAttach:
         policy = LruDowngradePolicy(manager.ctx)
         manager.set_downgrade_policy(policy)
         assert len(manager.stats) == 0
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path == "/c"
-        assert selected is scan_pick(manager.ctx, StorageTier.MEMORY)
+        assert selected is scan_pick(manager.ctx, MEMORY)
         client.open("/c")  # seen now: /a becomes the oldest
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path == "/a"
-        assert selected is scan_pick(manager.ctx, StorageTier.MEMORY)
+        assert selected is scan_pick(manager.ctx, MEMORY)
 
     def test_files_without_stats_entries(self):
         sim, master, client = self._unmanaged()
@@ -125,11 +127,11 @@ class TestLruLateAttach:
         client.create("/d", 64 * MB)  # and one created after the attach
         policy = LruDowngradePolicy(manager.ctx)
         assert len(manager.stats) == 2
-        for tier in (StorageTier.MEMORY, StorageTier.SSD, StorageTier.HDD):
+        for tier in (MEMORY, SSD, HDD):
             assert policy.select_file_to_downgrade(tier) is scan_pick(
                 manager.ctx, tier
             )
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/b"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/b"
 
 
 class TestLfu:
@@ -142,7 +144,7 @@ class TestLfu:
             client.open("/a")
         client.open("/b")
         # /b has 1 access vs 3 -> evicted first even though more recent.
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/b"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/b"
 
     def test_frequency_tie_broken_by_recency(self, stack):
         sim, master, client, manager = stack
@@ -152,7 +154,7 @@ class TestLfu:
         client.open("/a")
         sim.run(until=sim.now() + 10)
         client.open("/b")
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/a"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/a"
 
 
 class TestLrfu:
@@ -163,7 +165,7 @@ class TestLrfu:
         create_files(client, sim, [("/hot", 64 * MB, 1), ("/cold", 64 * MB, 1)])
         for _ in range(4):
             client.open("/hot")
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/cold"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/cold"
 
     def test_weight_decays_into_eviction(self, stack):
         sim, master, client, manager = stack
@@ -177,7 +179,7 @@ class TestLrfu:
         client.open("/b")
         sim.run(until=sim.now() + 100 * HOURS)  # decay wipes the difference
         # After heavy decay both ~0; tie-break by inode id = /a first.
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected is not None
 
 
@@ -195,7 +197,7 @@ class TestLifeAndLfuF:
         client.open("/old2")
         sim.run(until=sim.now() + 200.0)  # both now idle > window
         create_files(client, sim, [("/fresh", 128 * MB, 1)])
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/old1"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/old1"
 
     def test_life_evicts_largest_recent_when_no_old(self, stack):
         sim, master, client, manager = self._aged_stack(stack, window=1 * HOURS)
@@ -206,7 +208,7 @@ class TestLifeAndLfuF:
             sim,
             [("/small", 32 * MB, 1), ("/big", 256 * MB, 1), ("/mid", 64 * MB, 1)],
         )
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/big"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/big"
 
     def test_lfuf_evicts_lfu_recent_when_no_old(self, stack):
         sim, master, client, manager = self._aged_stack(stack, window=1 * HOURS)
@@ -216,7 +218,7 @@ class TestLifeAndLfuF:
         for _ in range(2):
             client.open("/x")
         # /y least frequently used; size irrelevant for LFU-F.
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/y"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/y"
 
 
 class TestExd:
@@ -227,7 +229,7 @@ class TestExd:
         create_files(client, sim, [("/hot", 64 * MB, 1), ("/cold", 64 * MB, 1)])
         for _ in range(3):
             client.open("/hot")
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/cold"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/cold"
 
 
 class TestXgb:
@@ -240,9 +242,9 @@ class TestXgb:
         sim.run(until=sim.now() + 10)
         client.open("/a")  # strictly more recent than /b's creation
         policy.start_threshold = 0.0
-        assert policy.start_downgrade(StorageTier.MEMORY)
+        assert policy.start_downgrade(MEMORY)
         # Model not ready -> LRU order: /b (never read) first.
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/b"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/b"
 
     def test_queue_skips_deleted_files(self, stack):
         sim, master, client, manager = stack
@@ -251,9 +253,9 @@ class TestXgb:
         policy = manager.downgrade_policy
         # Arm only now, so creations above did not already trigger drains.
         policy.start_threshold = 0.0
-        assert policy.start_downgrade(StorageTier.MEMORY)
+        assert policy.start_downgrade(MEMORY)
         client.delete("/a")
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path == "/b"
 
     def test_candidate_limit_respected(self, stack):
@@ -265,7 +267,7 @@ class TestXgb:
         configure_policies(manager, downgrade="xgb")
         policy = manager.downgrade_policy
         policy.start_threshold = 0.0
-        policy.start_downgrade(StorageTier.MEMORY)
+        policy.start_downgrade(MEMORY)
         assert len(policy._queue) == 2
 
 
@@ -274,12 +276,12 @@ class TestSharedThresholds:
         sim, master, client, manager = stack
         policy = LruDowngradePolicy(manager.ctx)
         manager.set_downgrade_policy(policy)
-        assert not policy.start_downgrade(StorageTier.MEMORY)  # empty tier
+        assert not policy.start_downgrade(MEMORY)  # empty tier
         # Fill memory beyond 90%: 3 nodes x 1GB = 3GB total.
         create_files(client, sim, [(f"/fill{i}", 150 * MB, 1) for i in range(19)])
-        util = manager.monitor.effective_utilization(StorageTier.MEMORY)
+        util = manager.monitor.effective_utilization(MEMORY)
         if util > 0.90:
-            assert policy.start_downgrade(StorageTier.MEMORY)
+            assert policy.start_downgrade(MEMORY)
 
     def test_invalid_threshold_config(self, stack):
         _, _, _, manager = stack

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.cluster import StorageTier
+from repro.cluster import DEFAULT_HIERARCHY
 from repro.common.units import MB
 from repro.engine import metrics as metrics_module
 from repro.engine.metrics import (
@@ -14,12 +14,14 @@ from repro.engine.metrics import (
 )
 from repro.workload.bins import BIN_NAMES
 
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
+
 
 class TestRecording:
     def test_hit_ratios(self):
         metrics = MetricsCollector()
-        metrics.record_task_read("A", StorageTier.MEMORY, 100 * MB)
-        metrics.record_task_read("A", StorageTier.HDD, 300 * MB)
+        metrics.record_task_read("A", MEMORY, 100 * MB)
+        metrics.record_task_read("A", HDD, 300 * MB)
         assert metrics.hit_ratio() == pytest.approx(0.5)
         assert metrics.byte_hit_ratio() == pytest.approx(0.25)
 
@@ -52,12 +54,12 @@ class TestRecording:
 
     def test_tier_access_distribution_normalized(self):
         metrics = MetricsCollector()
-        metrics.record_task_read("C", StorageTier.MEMORY, 300 * MB)
-        metrics.record_task_read("C", StorageTier.SSD, 100 * MB)
+        metrics.record_task_read("C", MEMORY, 300 * MB)
+        metrics.record_task_read("C", SSD, 100 * MB)
         dist = metrics.tier_access_distribution()
-        assert dist["C"][StorageTier.MEMORY] == pytest.approx(0.75)
-        assert dist["C"][StorageTier.SSD] == pytest.approx(0.25)
-        assert dist["A"][StorageTier.MEMORY] == 0.0
+        assert dist["C"][MEMORY] == pytest.approx(0.75)
+        assert dist["C"][SSD] == pytest.approx(0.25)
+        assert dist["A"][MEMORY] == 0.0
 
 
 class TestFoldedSums:
@@ -83,10 +85,10 @@ class TestFoldedSums:
 
     def test_tier_access_distribution(self):
         metrics = MetricsCollector()
-        tiers = (StorageTier.MEMORY, StorageTier.SSD, StorageTier.HDD)
+        tiers = (MEMORY, SSD, HDD)
         for tier, amount in zip(tiers, self.TRIPLE):
             metrics.record_task_read("A", tier, amount)
-        share = metrics.tier_access_distribution()["A"][StorageTier.SSD]
+        share = metrics.tier_access_distribution()["A"][SSD]
         assert share == 1.1818181818181819 / 3.3636363636363633
         assert share != 1.1818181818181819 / 3.3636363636363638
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.core import ReplicationManager, configure_policies
@@ -14,6 +14,8 @@ from repro.core.extra_policies import (
 )
 from repro.dfs import DFSClient, Master, NodeManager, OctopusPlacementPolicy
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 @pytest.fixture
@@ -39,7 +41,7 @@ class TestRandomPolicy:
         policy = RandomDowngradePolicy(manager.ctx, seed=1)
         manager.set_downgrade_policy(policy)
         create(client, sim, [("/a", 64 * MB), ("/b", 64 * MB)])
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path in ("/a", "/b")
 
     def test_deterministic_with_seed(self, stack):
@@ -48,14 +50,14 @@ class TestRandomPolicy:
         a = RandomDowngradePolicy(manager.ctx, seed=5)
         b = RandomDowngradePolicy(manager.ctx, seed=5)
         assert (
-            a.select_file_to_downgrade(StorageTier.MEMORY).path
-            == b.select_file_to_downgrade(StorageTier.MEMORY).path
+            a.select_file_to_downgrade(MEMORY).path
+            == b.select_file_to_downgrade(MEMORY).path
         )
 
     def test_empty_tier(self, stack):
         _, _, _, manager = stack
         policy = RandomDowngradePolicy(manager.ctx)
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY) is None
+        assert policy.select_file_to_downgrade(MEMORY) is None
 
 
 class TestSizePolicy:
@@ -66,7 +68,7 @@ class TestSizePolicy:
         create(
             client, sim, [("/small", 32 * MB), ("/big", 256 * MB), ("/mid", 64 * MB)]
         )
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY).path == "/big"
+        assert policy.select_file_to_downgrade(MEMORY).path == "/big"
 
 
 class TestArcPolicy:
@@ -77,7 +79,7 @@ class TestArcPolicy:
         create(client, sim, [("/once", 64 * MB), ("/twice", 64 * MB)])
         client.open("/twice")
         client.open("/twice")  # promoted to the frequency list
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path == "/once"
 
     def test_ghost_hit_adapts_balance(self, stack):
@@ -86,7 +88,7 @@ class TestArcPolicy:
         manager.set_downgrade_policy(policy)
         create(client, sim, [("/a", 64 * MB), ("/b", 64 * MB)])
         p_before = policy.p
-        evicted = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        evicted = policy.select_file_to_downgrade(MEMORY)
         # Re-access the evicted (ghosted) file: recency ghost hit.
         client.open(evicted.path)
         assert policy.p != p_before
@@ -97,7 +99,7 @@ class TestArcPolicy:
         manager.set_downgrade_policy(policy)
         create(client, sim, [("/a", 64 * MB)])
         client.delete("/a")
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY) is None
+        assert policy.select_file_to_downgrade(MEMORY) is None
 
     def test_runs_end_to_end(self, stack):
         sim, master, client, manager = stack
@@ -106,7 +108,7 @@ class TestArcPolicy:
             client.create(f"/f{i}", 256 * MB)
             sim.run(until=sim.now() + 30)
         sim.run(until=sim.now() + 600)
-        assert manager.monitor.bytes_downgraded[StorageTier.MEMORY] > 0
+        assert manager.monitor.bytes_downgraded[MEMORY] > 0
 
 
 class TestMarkerPolicy:
@@ -117,7 +119,7 @@ class TestMarkerPolicy:
         assert isinstance(policy, MarkerOracleDowngradePolicy)
         create(client, sim, [("/hot", 64 * MB), ("/cold", 64 * MB)])
         client.open("/hot")  # marks /hot
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path == "/cold"
 
     def test_phase_change_clears_marks(self, stack):
@@ -127,7 +129,7 @@ class TestMarkerPolicy:
         create(client, sim, [("/a", 64 * MB), ("/b", 64 * MB)])
         client.open("/a")
         client.open("/b")  # everything marked
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected is not None  # new phase began
         assert len(policy._marked) == 0 or selected.inode_id not in policy._marked
 

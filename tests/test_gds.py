@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.core import ReplicationManager, configure_policies
 from repro.core.gds import GreedyDualSizeDowngradePolicy
 from repro.dfs import DFSClient, Master, NodeManager, OctopusPlacementPolicy
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 @pytest.fixture
@@ -31,7 +33,7 @@ class TestCredits:
         client.create("/big", 512 * MB)
         client.create("/small", 32 * MB)
         # Same generation (inflation 0): big has the lower 1/size credit.
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path == "/big"
 
     def test_access_refreshes_credit_above_inflation(self, stack):
@@ -40,7 +42,7 @@ class TestCredits:
         manager.set_downgrade_policy(policy)
         client.create("/a", 128 * MB)
         client.create("/b", 128 * MB)
-        first = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        first = policy.select_file_to_downgrade(MEMORY)
         # After one eviction the inflation rose; a re-access re-credits
         # the survivor above any same-size untouched file.
         survivor = "/a" if first.path == "/b" else "/b"
@@ -64,12 +66,12 @@ class TestCredits:
             client.create(f"/f{i}", (16 + 16 * i) * MB)
         seen = [policy.inflation]
         for _ in range(6):
-            victim = policy.select_file_to_downgrade(StorageTier.MEMORY)
+            victim = policy.select_file_to_downgrade(MEMORY)
             assert victim is not None
             # Simulate the downgrade finishing: drop from memory so the
             # candidate set shrinks.
             for block in master.blocks.blocks_of(victim):
-                for replica in list(block.replicas_on_tier(StorageTier.MEMORY)):
+                for replica in list(block.replicas_on_tier(MEMORY)):
                     master.delete_replica(replica)
             seen.append(policy.inflation)
         assert seen == sorted(seen)
@@ -80,7 +82,7 @@ class TestCredits:
         manager.set_downgrade_policy(policy)
         client.create("/a", 64 * MB)
         client.delete("/a")
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY) is None
+        assert policy.select_file_to_downgrade(MEMORY) is None
 
     def test_size_cost_mode_equalizes_credits(self, stack):
         _, master, client, manager = stack
@@ -109,7 +111,7 @@ class TestRegistryIntegration:
             client.create(f"/f{i}", 256 * MB)
             sim.run(until=sim.now() + 30)
         sim.run(until=sim.now() + 600)
-        assert manager.monitor.bytes_downgraded[StorageTier.MEMORY] > 0
+        assert manager.monitor.bytes_downgraded[MEMORY] > 0
 
 
 @given(
@@ -127,5 +129,5 @@ def test_uniform_credit_ordering_matches_inverse_size(sizes):
     manager.set_downgrade_policy(policy)
     for i, size in enumerate(sizes):
         client.create(f"/f{i}", size * MB)
-    victim = policy.select_file_to_downgrade(StorageTier.MEMORY)
+    victim = policy.select_file_to_downgrade(MEMORY)
     assert victim.size == max(sizes) * MB

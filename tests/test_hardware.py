@@ -2,54 +2,40 @@
 
 import pytest
 
-from repro.cluster.hardware import (
-    DEFAULT_MEDIA_PROFILES,
-    MediaProfile,
-    StorageTier,
-    make_device,
-)
+from repro.cluster.hardware import DEFAULT_HIERARCHY, MediaProfile, StorageDevice
 from repro.common.errors import InsufficientSpaceError
 from repro.common.units import GB, MB
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 class TestStorageTier:
     def test_ordering_fastest_first(self):
-        assert StorageTier.MEMORY < StorageTier.SSD < StorageTier.HDD
-        assert min(StorageTier) is StorageTier.MEMORY
+        assert MEMORY < SSD < HDD
+        assert min(DEFAULT_HIERARCHY) is MEMORY
 
     def test_higher_and_lower_tiers(self):
-        assert StorageTier.HDD.higher_tiers() == (
-            StorageTier.MEMORY,
-            StorageTier.SSD,
-        )
-        assert StorageTier.MEMORY.lower_tiers() == (
-            StorageTier.SSD,
-            StorageTier.HDD,
-        )
-        assert StorageTier.MEMORY.higher_tiers() == ()
-        assert StorageTier.HDD.lower_tiers() == ()
+        assert HDD.higher_tiers() == (MEMORY, SSD)
+        assert MEMORY.lower_tiers() == (SSD, HDD)
+        assert MEMORY.higher_tiers() == ()
+        assert HDD.lower_tiers() == ()
 
     def test_extremes(self):
-        assert StorageTier.MEMORY.is_highest
-        assert StorageTier.HDD.is_lowest
-        assert not StorageTier.SSD.is_highest
+        assert MEMORY.is_highest
+        assert HDD.is_lowest
+        assert not SSD.is_highest
 
 
 class TestMediaProfile:
     def test_read_faster_than_write_for_defaults(self):
-        for profile in DEFAULT_MEDIA_PROFILES.values():
+        for profile in (t.media for t in DEFAULT_HIERARCHY):
             assert profile.read_bw >= profile.write_bw
 
     def test_memory_fastest(self):
-        profiles = DEFAULT_MEDIA_PROFILES
-        assert (
-            profiles[StorageTier.MEMORY].read_bw
-            > profiles[StorageTier.SSD].read_bw
-            > profiles[StorageTier.HDD].read_bw
-        )
+        assert MEMORY.media.read_bw > SSD.media.read_bw > HDD.media.read_bw
 
     def test_read_time_scales_with_size(self):
-        profile = DEFAULT_MEDIA_PROFILES[StorageTier.HDD]
+        profile = HDD.media
         assert profile.read_time(256 * MB) > profile.read_time(128 * MB)
 
     def test_times_include_latency(self):
@@ -60,7 +46,7 @@ class TestMediaProfile:
 
 class TestStorageDevice:
     def make(self, capacity=1 * GB):
-        return make_device("n0:mem0", StorageTier.MEMORY, capacity)
+        return StorageDevice("n0:mem0", MEMORY, capacity)
 
     def test_allocate_and_release(self):
         device = self.make()
@@ -107,4 +93,4 @@ class TestStorageDevice:
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            make_device("x", StorageTier.SSD, 0)
+            StorageDevice("x", SSD, 0)

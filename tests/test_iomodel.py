@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.units import MB
 from repro.engine.iomodel import IoModel, WriteLeg
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 @pytest.fixture
@@ -14,12 +16,12 @@ def iomodel():
 
 def mem_device(iomodel, node_index=0):
     node = iomodel.topology.nodes[node_index]
-    return node.devices(StorageTier.MEMORY)[0]
+    return node.devices(MEMORY)[0]
 
 
 def hdd_device(iomodel, node_index=0):
     node = iomodel.topology.nodes[node_index]
-    return node.devices(StorageTier.HDD)[0]
+    return node.devices(HDD)[0]
 
 
 class TestReads:
@@ -91,12 +93,10 @@ class TestWrites:
         return writer, legs
 
     def test_pipeline_bottlenecked_by_slowest_leg(self, iomodel):
-        writer, fast_legs = self.legs(iomodel, [StorageTier.MEMORY, StorageTier.SSD])
+        writer, fast_legs = self.legs(iomodel, [MEMORY, SSD])
         t_fast, rel1 = iomodel.start_write(128 * MB, fast_legs, writer)
         rel1()
-        writer, slow_legs = self.legs(
-            iomodel, [StorageTier.MEMORY, StorageTier.SSD, StorageTier.HDD]
-        )
+        writer, slow_legs = self.legs(iomodel, [MEMORY, SSD, HDD])
         t_slow, rel2 = iomodel.start_write(128 * MB, slow_legs, writer)
         rel2()
         assert t_slow > t_fast
@@ -106,7 +106,7 @@ class TestWrites:
             iomodel.start_write(MB, [], None)
 
     def test_network_counted_once_per_node(self, iomodel):
-        writer, legs = self.legs(iomodel, [StorageTier.HDD, StorageTier.HDD])
+        writer, legs = self.legs(iomodel, [HDD, HDD])
         _, release = iomodel.start_write(MB, legs, writer)
         # Writer + one remote leg hold network streams.
         assert iomodel.active_net_streams(writer) == 1
@@ -114,7 +114,7 @@ class TestWrites:
         assert iomodel.active_net_streams(writer) == 0
 
     def test_concurrent_writers_slow_each_other(self, iomodel):
-        writer, legs = self.legs(iomodel, [StorageTier.HDD])
+        writer, legs = self.legs(iomodel, [HDD])
         t1, rel1 = iomodel.start_write(128 * MB, legs, writer)
         t2, rel2 = iomodel.start_write(128 * MB, legs, writer)
         assert t2 > 1.8 * t1

@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.core import ReplicationManager, configure_policies
 from repro.core.lecar import LeCaRDowngradePolicy
 from repro.dfs import DFSClient, Master, NodeManager, OctopusPlacementPolicy
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 @pytest.fixture
@@ -35,7 +37,7 @@ class TestWeights:
         manager.set_downgrade_policy(policy)
         client.create("/a", 64 * MB)
         client.create("/b", 64 * MB)
-        victim = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        victim = policy.select_file_to_downgrade(MEMORY)
         in_lru_ghost = victim.inode_id in policy._ghost_lru
         before = policy.weights
         client.open(victim.path)  # ghost hit: the evicting expert erred
@@ -52,7 +54,7 @@ class TestWeights:
         for i in range(6):
             client.create(f"/f{i}", 32 * MB)
         for _ in range(4):
-            victim = policy.select_file_to_downgrade(StorageTier.MEMORY)
+            victim = policy.select_file_to_downgrade(MEMORY)
             client.open(victim.path)
         w = policy.weights
         assert w[0] > 0 and w[1] > 0
@@ -74,13 +76,13 @@ class TestSelection:
         manager.set_downgrade_policy(policy)
         client.create("/a", 64 * MB)
         client.create("/b", 64 * MB)
-        victim = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        victim = policy.select_file_to_downgrade(MEMORY)
         assert victim.path in ("/a", "/b")
 
     def test_empty_tier_returns_none(self, stack):
         _, _, _, manager = stack
         policy = LeCaRDowngradePolicy(manager.ctx)
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY) is None
+        assert policy.select_file_to_downgrade(MEMORY) is None
 
     def test_ghost_capacity_bounded(self, stack):
         sim, master, client, manager = stack
@@ -88,7 +90,7 @@ class TestSelection:
         manager.set_downgrade_policy(policy)
         for i in range(10):
             client.create(f"/f{i}", 16 * MB)
-            policy.select_file_to_downgrade(StorageTier.MEMORY)
+            policy.select_file_to_downgrade(MEMORY)
         assert len(policy._ghost_lru) <= 3
         assert len(policy._ghost_lfu) <= 3
 
@@ -97,7 +99,7 @@ class TestSelection:
         policy = LeCaRDowngradePolicy(manager.ctx, seed=13)
         manager.set_downgrade_policy(policy)
         client.create("/a", 64 * MB)
-        victim = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        victim = policy.select_file_to_downgrade(MEMORY)
         client.delete(victim.path)
         assert victim.inode_id not in policy._ghost_lru
         assert victim.inode_id not in policy._ghost_lfu
@@ -123,7 +125,7 @@ class TestRegistryIntegration:
             client.create(f"/f{i}", 256 * MB)
             sim.run(until=sim.now() + 30)
         sim.run(until=sim.now() + 600)
-        assert manager.monitor.bytes_downgraded[StorageTier.MEMORY] > 0
+        assert manager.monitor.bytes_downgraded[MEMORY] > 0
 
 
 @given(

@@ -13,7 +13,7 @@ the manager-fed registry and for a registry no listener feeds.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.core import ReplicationManager
@@ -23,6 +23,8 @@ from repro.core.policy import DowngradeAction
 from repro.core.stats import StatisticsRegistry
 from repro.dfs import DFSClient, Master, NodeManager, OctopusPlacementPolicy
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 def oracle_pick(ctx, tier):
@@ -62,7 +64,7 @@ _OPS = st.one_of(
     st.tuples(st.just("unexclude"), st.integers(0, 50)),
 )
 
-_TIERS = (StorageTier.MEMORY, StorageTier.SSD, StorageTier.HDD)
+_TIERS = (MEMORY, SSD, HDD)
 
 
 def _apply(op, sim, master, client, manager, counter):
@@ -86,7 +88,7 @@ def _apply(op, sim, master, client, manager, counter):
     elif kind == "down":
         manager.monitor.submit_downgrade(file, _TIERS[op[2]], DowngradeAction.MOVE)
     elif kind == "up":
-        manager.monitor.submit_upgrade(file, [StorageTier.MEMORY, StorageTier.SSD])
+        manager.monitor.submit_upgrade(file, [MEMORY, SSD])
     elif kind == "exclude":
         manager._temp_excluded.add(file.inode_id)
     elif kind == "unexclude":
@@ -119,6 +121,6 @@ def test_same_timestamp_ties_break_on_inode_id():
     sim.run(until=10.0)
     client.open("/b")
     client.open("/a")  # same timestamp as /b: the lower inode id wins
-    assert policy.select_file_to_downgrade(StorageTier.MEMORY) is a
+    assert policy.select_file_to_downgrade(MEMORY) is a
     manager._temp_excluded.add(a.inode_id)
-    assert policy.select_file_to_downgrade(StorageTier.MEMORY) is b
+    assert policy.select_file_to_downgrade(MEMORY) is b

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.core import ReplicationManager, configure_policies
 from repro.dfs import DFSClient, Master, NodeManager, OctopusPlacementPolicy
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 def make_stack(workers=3, memory=1 * GB, conf=None):
@@ -30,23 +32,23 @@ class TestDowngradeLoop:
             client.create(f"/f{i}", 256 * MB)
             sim.run(until=sim.now() + 30)
         sim.run(until=sim.now() + 600)
-        util = master.tier_utilization(StorageTier.MEMORY)
+        util = master.tier_utilization(MEMORY)
         assert util <= 0.92  # never runaway above the start threshold
-        assert manager.monitor.bytes_downgraded[StorageTier.MEMORY] > 0
+        assert manager.monitor.bytes_downgraded[MEMORY] > 0
 
     def test_no_downgrades_below_threshold(self):
         sim, master, client, manager = make_stack()
         configure_policies(manager, downgrade="lru")
         client.create("/small", 64 * MB)
         sim.run(until=sim.now() + 600)
-        assert manager.monitor.bytes_downgraded[StorageTier.MEMORY] == 0
+        assert manager.monitor.bytes_downgraded[MEMORY] == 0
 
     def test_cascade_memory_to_ssd_to_hdd(self):
         # Tiny SSD so memory downgrades overflow into SSD downgrades.
         sim, master, client, manager = make_stack(memory=1 * GB)
         # Shrink the SSD by pre-filling most of it.
         for node in master.topology.nodes:
-            device = node.devices(StorageTier.SSD)[0]
+            device = node.devices(SSD)[0]
             device.allocate(-1, device.capacity - 512 * MB)
         configure_policies(manager, downgrade="lru")
         for i in range(40):
@@ -55,12 +57,12 @@ class TestDowngradeLoop:
         sim.run(until=sim.now() + 900)
         # Memory evictions overflowed the tiny SSD, which itself shed
         # files down to HDD — the cascading downgrade of Algorithm 1.
-        assert manager.monitor.bytes_downgraded[StorageTier.SSD] > 0
+        assert manager.monitor.bytes_downgraded[SSD] > 0
 
     def test_run_returns_zero_without_policy(self):
         sim, master, client, manager = make_stack()
         client.create("/f", 64 * MB)
-        assert manager.run_downgrade(StorageTier.MEMORY) == 0
+        assert manager.run_downgrade(MEMORY) == 0
 
 
 class TestUpgradeLoop:
@@ -75,23 +77,19 @@ class TestUpgradeLoop:
             files.append(client.create(f"/f{i}", 128 * MB))
             sim.run(until=sim.now() + 30)
         sim.run(until=sim.now() + 600)
-        demoted = [
-            f
-            for f in files
-            if not master.blocks.file_has_tier(f, StorageTier.MEMORY)
-        ]
+        demoted = [f for f in files if not master.blocks.file_has_tier(f, MEMORY)]
         assert demoted, "expected at least one file without a memory copy"
         target = demoted[0]
         client.open(target.path)
         sim.run(until=sim.now() + 600)
-        assert master.blocks.file_has_tier(target, StorageTier.MEMORY)
+        assert master.blocks.file_has_tier(target, MEMORY)
 
     def test_upgrade_ignored_without_policy(self):
         sim, master, client, manager = make_stack()
         configure_policies(manager, downgrade="lru")
         client.create("/f", 64 * MB)
         client.open("/f")
-        assert manager.monitor.bytes_upgraded[StorageTier.MEMORY] == 0
+        assert manager.monitor.bytes_upgraded[MEMORY] == 0
 
     def test_proactive_tick_noop_for_reactive_policies(self):
         sim, master, client, manager = make_stack()

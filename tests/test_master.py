@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.errors import InsufficientSpaceError, InvalidPathError
 from repro.common.units import GB, MB
@@ -12,6 +12,8 @@ from repro.dfs import (
     NodeManager,
     OctopusPlacementPolicy,
 )
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 class RecordingListener(FileSystemListener):
@@ -43,11 +45,7 @@ class TestCreateFile:
     def test_octopus_places_one_replica_per_tier(self, master):
         file = master.create_file("/data/a", 128 * MB)
         block = master.blocks.blocks_of(file)[0]
-        assert set(block.tiers()) == {
-            StorageTier.MEMORY,
-            StorageTier.SSD,
-            StorageTier.HDD,
-        }
+        assert set(block.tiers()) == {MEMORY, SSD, HDD}
 
     def test_custom_replication(self, master):
         file = master.create_file("/data/a", 64 * MB, replication=2)
@@ -87,7 +85,7 @@ class TestReadFile:
     def test_reads_prefer_memory_without_reader_context(self, master):
         master.create_file("/f", 128 * MB)
         plan = master.plan_read("/f")
-        assert plan.reads[0].replica.tier is StorageTier.MEMORY
+        assert plan.reads[0].replica.tier is MEMORY
         assert plan.memory_access
 
     def test_memory_location_flag(self, master):
@@ -125,7 +123,7 @@ class TestReadFile:
     def test_local_replica_preferred_over_faster_remote(self, master):
         file = master.create_file("/f", 64 * MB)
         block = master.blocks.blocks_of(file)[0]
-        hdd_replica = block.replicas_on_tier(StorageTier.HDD)[0]
+        hdd_replica = block.replicas_on_tier(HDD)[0]
         read = master.choose_replica(block, hdd_replica.node_id)
         assert read.local
         assert read.replica.node_id == hdd_replica.node_id
@@ -147,7 +145,7 @@ class TestReadFile:
         master.create_file("/f", 128 * MB)
         plan = master.plan_read("/f")
         by_tier = plan.bytes_by_tier()
-        assert by_tier[StorageTier.MEMORY] == 128 * MB
+        assert by_tier[MEMORY] == 128 * MB
 
 
 class TestDeleteFile:
@@ -178,25 +176,21 @@ class TestTransfers:
     def _mem_replica(self, master):
         file = master.create_file("/f", 128 * MB)
         block = master.blocks.blocks_of(file)[0]
-        return block, block.replicas_on_tier(StorageTier.MEMORY)[0]
+        return block, block.replicas_on_tier(MEMORY)[0]
 
     def test_move_commit(self, master):
         block, replica = self._mem_replica(master)
-        target = master.placement.select_transfer_target(
-            block, replica, [StorageTier.SSD]
-        )
+        target = master.placement.select_transfer_target(block, replica, [SSD])
         ticket = master.begin_transfer(block, replica, target)
         new_replica = master.commit_transfer(ticket)
-        assert new_replica.tier is StorageTier.SSD
+        assert new_replica.tier is SSD
         assert replica.replica_id not in block.replicas
         assert block.replica_count == 3  # moved, not duplicated
         assert master.open_ticket_count() == 0
 
     def test_reservation_holds_space(self, master):
         block, replica = self._mem_replica(master)
-        target = master.placement.select_transfer_target(
-            block, replica, [StorageTier.SSD]
-        )
+        target = master.placement.select_transfer_target(block, replica, [SSD])
         node = master.topology.node(target.node_id)
         device = next(
             d for d in node.devices(target.tier) if d.device_id == target.device_id
@@ -209,7 +203,7 @@ class TestTransfers:
 
     def test_copy_keeps_source(self, master):
         block, replica = self._mem_replica(master)
-        target = master.placement.select_copy_target(block, [StorageTier.HDD])
+        target = master.placement.select_copy_target(block, [HDD])
         ticket = master.begin_transfer(block, None, target)
         master.commit_transfer(ticket)
         assert block.replica_count == 4
@@ -217,9 +211,7 @@ class TestTransfers:
 
     def test_double_commit_rejected(self, master):
         block, replica = self._mem_replica(master)
-        target = master.placement.select_transfer_target(
-            block, replica, [StorageTier.SSD]
-        )
+        target = master.placement.select_transfer_target(block, replica, [SSD])
         ticket = master.begin_transfer(block, replica, target)
         master.commit_transfer(ticket)
         with pytest.raises(InvalidPathError):
@@ -227,9 +219,7 @@ class TestTransfers:
 
     def test_transfer_counts_node_load(self, master):
         block, replica = self._mem_replica(master)
-        target = master.placement.select_transfer_target(
-            block, replica, [StorageTier.SSD]
-        )
+        target = master.placement.select_transfer_target(block, replica, [SSD])
         ticket = master.begin_transfer(block, replica, target)
         assert master.node_manager.stats(target.node_id).active_transfers >= 1
         master.commit_transfer(ticket)

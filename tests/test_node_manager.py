@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.units import MB
 from repro.dfs.node_manager import NodeManager
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 @pytest.fixture
@@ -19,19 +21,19 @@ def node_id(manager, index=0):
 class TestCounters:
     def test_read_write_accounting(self, manager):
         n = node_id(manager)
-        manager.record_read(n, StorageTier.MEMORY, 10 * MB)
-        manager.record_write(n, StorageTier.HDD, 20 * MB)
+        manager.record_read(n, MEMORY, 10 * MB)
+        manager.record_write(n, HDD, 20 * MB)
         stats = manager.stats(n)
-        assert stats.bytes_read[StorageTier.MEMORY] == 10 * MB
-        assert stats.bytes_written[StorageTier.HDD] == 20 * MB
+        assert stats.bytes_read[MEMORY] == 10 * MB
+        assert stats.bytes_written[HDD] == 20 * MB
         assert stats.total_bytes_read == 10 * MB
         assert stats.total_bytes_written == 20 * MB
 
     def test_cluster_aggregates(self, manager):
-        manager.record_read(node_id(manager, 0), StorageTier.SSD, 5 * MB)
-        manager.record_read(node_id(manager, 1), StorageTier.SSD, 7 * MB)
-        assert manager.cluster_bytes_read(StorageTier.SSD) == 12 * MB
-        assert manager.cluster_bytes_written(StorageTier.SSD) == 0
+        manager.record_read(node_id(manager, 0), SSD, 5 * MB)
+        manager.record_read(node_id(manager, 1), SSD, 7 * MB)
+        assert manager.cluster_bytes_read(SSD) == 12 * MB
+        assert manager.cluster_bytes_written(SSD) == 0
 
 
 class TestTransfers:

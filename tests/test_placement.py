@@ -1,7 +1,7 @@
 """Tests for block placement policies."""
 
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import MB
 from repro.dfs import (
@@ -13,6 +13,8 @@ from repro.dfs import (
 )
 from repro.dfs.placement import SingleTierPlacementPolicy
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 def build(policy_cls, workers=4, **kwargs):
@@ -27,7 +29,7 @@ class TestHdfsPlacement:
         _, policy = build(HdfsPlacementPolicy)
         targets = policy.place_block(128 * MB, 3)
         assert len(targets) == 3
-        assert all(t.tier is StorageTier.HDD for t in targets)
+        assert all(t.tier is HDD for t in targets)
         assert len({t.node_id for t in targets}) == 3
 
     def test_writer_gets_first_replica(self):
@@ -56,41 +58,37 @@ class TestHdfsCachePlacement:
         topo, policy = build(HdfsCachePlacementPolicy)
         targets = policy.place_block(128 * MB, 3)
         assert len(targets) == 4
-        mem = [t for t in targets if t.tier is StorageTier.MEMORY]
+        mem = [t for t in targets if t.tier is MEMORY]
         assert len(mem) == 1
-        hdd_nodes = {t.node_id for t in targets if t.tier is StorageTier.HDD}
+        hdd_nodes = {t.node_id for t in targets if t.tier is HDD}
         assert mem[0].node_id in hdd_nodes
 
     def test_no_cache_when_memory_full(self):
         topo, policy = build(HdfsCachePlacementPolicy)
         # Fill every node's memory.
         for node in topo.nodes:
-            for device in node.devices(StorageTier.MEMORY):
+            for device in node.devices(MEMORY):
                 device.allocate(999 + hash(device.device_id) % 1000, device.capacity)
         targets = policy.place_block(128 * MB, 3)
-        assert all(t.tier is StorageTier.HDD for t in targets)
+        assert all(t.tier is HDD for t in targets)
 
 
 class TestOctopusPlacement:
     def test_tier_diversity_while_space(self):
         _, policy = build(OctopusPlacementPolicy)
         targets = policy.place_block(128 * MB, 3)
-        assert {t.tier for t in targets} == {
-            StorageTier.MEMORY,
-            StorageTier.SSD,
-            StorageTier.HDD,
-        }
+        assert {t.tier for t in targets} == {MEMORY, SSD, HDD}
         assert len({t.node_id for t in targets}) == 3
 
     def test_falls_back_when_memory_full(self):
         topo, policy = build(OctopusPlacementPolicy)
         for node in topo.nodes:
-            for device in node.devices(StorageTier.MEMORY):
+            for device in node.devices(MEMORY):
                 device.allocate(12345 + hash(device.device_id) % 1000, device.capacity)
         targets = policy.place_block(128 * MB, 3)
         tiers = sorted(t.tier for t in targets)
-        assert StorageTier.MEMORY not in tiers
-        assert set(tiers) == {StorageTier.SSD, StorageTier.HDD}
+        assert MEMORY not in tiers
+        assert set(tiers) == {SSD, HDD}
 
     def test_select_transfer_target_excludes_replica_nodes(self, tmp_path):
         topo = build_local_cluster(num_workers=4)
@@ -99,10 +97,8 @@ class TestOctopusPlacement:
         master = Master(topo, policy, Simulator())
         file = master.create_file("/f", 128 * MB)
         block = master.blocks.blocks_of(file)[0]
-        mem_replica = block.replicas_on_tier(StorageTier.MEMORY)[0]
-        target = policy.select_transfer_target(
-            block, mem_replica, [StorageTier.SSD, StorageTier.HDD]
-        )
+        mem_replica = block.replicas_on_tier(MEMORY)[0]
+        target = policy.select_transfer_target(block, mem_replica, [SSD, HDD])
         assert target is not None
         other_nodes = {
             r.node_id
@@ -118,8 +114,8 @@ class TestOctopusPlacement:
         master = Master(topo, policy, Simulator())
         file = master.create_file("/f", 128 * MB)
         block = master.blocks.blocks_of(file)[0]
-        mem_replica = block.replicas_on_tier(StorageTier.MEMORY)[0]
-        target = policy.select_transfer_target(block, mem_replica, [StorageTier.SSD])
+        mem_replica = block.replicas_on_tier(MEMORY)[0]
+        target = policy.select_transfer_target(block, mem_replica, [SSD])
         # The source node has SSD space, no other replica on it: local move.
         assert target is not None
         assert target.node_id == mem_replica.node_id
@@ -131,7 +127,7 @@ class TestOctopusPlacement:
         master = Master(topo, policy, Simulator())
         file = master.create_file("/f", 128 * MB)
         block = master.blocks.blocks_of(file)[0]
-        target = policy.select_copy_target(block, list(StorageTier))
+        target = policy.select_copy_target(block, list(DEFAULT_HIERARCHY))
         assert target is not None
         assert target.node_id not in block.nodes()
 
@@ -145,7 +141,7 @@ class TestOctopusPlacement:
         replica = block.replica_list()[0]
         # Only one node: a move target excluding... the node itself is
         # allowed (source vacates), but a copy target is impossible.
-        assert policy.select_copy_target(block, list(StorageTier)) is None
+        assert policy.select_copy_target(block, list(DEFAULT_HIERARCHY)) is None
         assert replica is not None
 
 
@@ -154,9 +150,9 @@ class TestSingleTierPlacement:
         _, policy = build(SingleTierPlacementPolicy)
         targets = policy.place_block(128 * MB, 3)
         assert len(targets) == 3
-        assert all(t.tier is StorageTier.HDD for t in targets)
+        assert all(t.tier is HDD for t in targets)
 
     def test_custom_tier(self):
-        _, policy = build(SingleTierPlacementPolicy, tier=StorageTier.SSD)
+        _, policy = build(SingleTierPlacementPolicy, tier=SSD)
         targets = policy.place_block(128 * MB, 2)
-        assert all(t.tier is StorageTier.SSD for t in targets)
+        assert all(t.tier is SSD for t in targets)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.hardware import StorageTier, make_device
+from repro.cluster.hardware import DEFAULT_HIERARCHY, StorageDevice
 from repro.common.errors import InsufficientSpaceError
 from repro.common.units import MB, format_bytes, parse_bytes
 from repro.core.weights import ExdWeights, LrfuWeights
@@ -44,7 +44,7 @@ def test_simulator_executes_in_nondecreasing_time_order(times):
     )
 )
 def test_device_accounting_never_negative_or_overcommitted(sizes):
-    device = make_device("d", StorageTier.SSD, 256 * MB)
+    device = StorageDevice("d", DEFAULT_HIERARCHY.tier("SSD"), 256 * MB)
     held = {}
     for i, size in enumerate(sizes):
         try:

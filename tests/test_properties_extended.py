@@ -10,7 +10,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.core import ReplicationManager, configure_policies
@@ -27,6 +27,8 @@ from repro.dfs.namespace import INodeFile
 from repro.dfs.placement import HdfsPlacementPolicy
 from repro.ml.features import FeatureSpec, build_feature_vector
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 # -- feature pipeline ---------------------------------------------------------
@@ -136,7 +138,7 @@ def test_cache_copies_never_overcommit_memory(n_files):
         sim.run(until=sim.now() + 30)
     sim.run(until=sim.now() + 600)
     for node in topo.nodes:
-        for device in node.devices(StorageTier.MEMORY):
+        for device in node.devices(MEMORY):
             assert 0 <= device.used <= device.capacity
 
 

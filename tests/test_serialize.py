@@ -17,13 +17,9 @@ from repro.workload.serialize import (
     event_from_dict,
     event_to_dict,
     iter_events,
-    load_trace,
     read_stream_header,
     save_events,
-    save_trace,
     stream_duration,
-    trace_from_dict,
-    trace_to_dict,
 )
 
 
@@ -76,40 +72,6 @@ class TestModelSerialization:
         data["format_version"] = 99
         with pytest.raises(ValueError):
             model_from_dict(data)
-
-
-class TestTraceSerialization:
-    def test_roundtrip_equality(self):
-        trace = synthesize_trace(scaled_profile(FB_PROFILE, 0.05), seed=3)
-        clone = trace_from_dict(trace_to_dict(trace))
-        assert clone.name == trace.name
-        assert clone.duration == trace.duration
-        assert len(clone.jobs) == len(trace.jobs)
-        assert [c.path for c in clone.creations] == [c.path for c in trace.creations]
-        for a, b in zip(clone.jobs, trace.jobs):
-            assert a.input_paths == b.input_paths
-            assert a.outputs == b.outputs
-            assert a.submit_time == b.submit_time
-
-    def test_statistics_preserved(self):
-        trace = synthesize_trace(scaled_profile(FB_PROFILE, 0.05), seed=3)
-        clone = trace_from_dict(trace_to_dict(trace))
-        assert clone.total_bytes == trace.total_bytes
-        assert clone.never_read_fraction() == trace.never_read_fraction()
-
-    def test_file_roundtrip(self, tmp_path):
-        trace = synthesize_trace(scaled_profile(FB_PROFILE, 0.05), seed=4)
-        path = str(tmp_path / "trace.json")
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert loaded.file_count == trace.file_count
-
-    def test_bad_version_rejected(self):
-        trace = synthesize_trace(scaled_profile(FB_PROFILE, 0.05), seed=5)
-        data = trace_to_dict(trace)
-        data["format_version"] = 0
-        with pytest.raises(ValueError):
-            trace_from_dict(data)
 
 
 SAMPLE_EVENTS = [

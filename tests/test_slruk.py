@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.core import ReplicationManager, configure_policies
@@ -19,6 +19,8 @@ from repro.core.stats import FileStatistics
 from repro.dfs import DFSClient, Master, NodeManager, OctopusPlacementPolicy
 from repro.dfs.namespace import INodeFile
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 @pytest.fixture
@@ -86,7 +88,7 @@ class TestSlruKDowngrade:
         client.open("/twice")
         sim.run(until=20)
         client.open("/twice")  # /twice now has 2 accesses, /once only 1
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path == "/once"
 
     def test_oldest_kth_access_evicted_among_k_accessed(self, stack):
@@ -102,7 +104,7 @@ class TestSlruKDowngrade:
         client.open("/new")
         sim.run(until=60)
         client.open("/new")  # 2nd access at t=60; K-dist anchored at t=50
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path == "/old"
 
     def test_lru_tie_break_among_infinite(self, stack):
@@ -114,13 +116,13 @@ class TestSlruKDowngrade:
         client.create("/fresh", 64 * MB)
         sim.run(until=40)
         client.open("/fresh")
-        selected = policy.select_file_to_downgrade(StorageTier.MEMORY)
+        selected = policy.select_file_to_downgrade(MEMORY)
         assert selected.path == "/idle"
 
     def test_empty_tier_returns_none(self, stack):
         _, _, _, manager = stack
         policy = SlruKDowngradePolicy(manager.ctx)
-        assert policy.select_file_to_downgrade(StorageTier.MEMORY) is None
+        assert policy.select_file_to_downgrade(MEMORY) is None
 
     def test_k_validation(self, stack):
         _, _, _, manager = stack
@@ -138,7 +140,7 @@ class TestSlruKUpgrade:
         # Place everything on HDD so the accessed file is below memory.
         file = client.create("/f", 64 * MB)
         for block in master.blocks.blocks_of(file):
-            for replica in list(block.replicas_on_tier(StorageTier.MEMORY)):
+            for replica in list(block.replicas_on_tier(MEMORY)):
                 master.delete_replica(replica)
         assert policy.start_upgrade(file)
 
@@ -146,7 +148,7 @@ class TestSlruKUpgrade:
         sim, master, client, manager = stack
         policy = SlruKUpgradePolicy(manager.ctx, k=2)
         file = client.create("/f", 64 * MB)
-        assert master.blocks.file_has_tier(file, StorageTier.MEMORY)
+        assert master.blocks.file_has_tier(file, MEMORY)
         assert not policy.start_upgrade(file)
 
     def test_rejects_none(self, stack):
@@ -170,10 +172,10 @@ class TestSlruKUpgrade:
         # Cold challenger on HDD with a single (infinite-distance) access.
         challenger = client.create("/challenger", 900 * MB)
         for block in master.blocks.blocks_of(challenger):
-            for replica in list(block.replicas_on_tier(StorageTier.MEMORY)):
+            for replica in list(block.replicas_on_tier(MEMORY)):
                 master.delete_replica(replica)
         sim.run(until=30)
-        assert manager.ctx.tier_free(StorageTier.MEMORY) < challenger.size
+        assert manager.ctx.tier_free(MEMORY) < challenger.size
         assert not policy.start_upgrade(challenger)
 
 
@@ -191,4 +193,4 @@ class TestRegistryIntegration:
             client.create(f"/f{i}", 256 * MB)
             sim.run(until=sim.now() + 30)
         sim.run(until=sim.now() + 600)
-        assert manager.monitor.bytes_downgraded[StorageTier.MEMORY] > 0
+        assert manager.monitor.bytes_downgraded[MEMORY] > 0

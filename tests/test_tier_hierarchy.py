@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import (
     DEFAULT_HIERARCHY,
-    StorageTier,
     TierHierarchy,
     TierSpec,
     build_tiered_cluster,
@@ -15,6 +14,8 @@ from repro.cluster import (
 from repro.cluster.hardware import HDD_MEDIA, MEMORY_MEDIA, MediaProfile
 from repro.common.units import GB
 from repro.ml.features import FeatureSpec, build_feature_vector, feature_names
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 class TestTierSpec:
@@ -49,12 +50,12 @@ class TestTierSpec:
     def test_str_and_index(self):
         hdd = DEFAULT_HIERARCHY.tier("hdd")
         assert str(hdd) == "HDD"
-        assert int(hdd) == 2
+        assert hdd.level == 2
 
 
 class TestTierHierarchy:
     def test_lookup_is_case_insensitive(self):
-        assert DEFAULT_HIERARCHY.tier("memory") is StorageTier.MEMORY
+        assert DEFAULT_HIERARCHY.tier("memory") is MEMORY
 
     def test_unknown_tier_raises(self):
         with pytest.raises(KeyError):
@@ -62,7 +63,7 @@ class TestTierHierarchy:
 
     def test_contains_names_and_specs(self):
         assert "ssd" in DEFAULT_HIERARCHY
-        assert StorageTier.SSD in DEFAULT_HIERARCHY
+        assert SSD in DEFAULT_HIERARCHY
         assert "NVME" not in DEFAULT_HIERARCHY
 
     def test_adjacent_pairs(self):
@@ -102,24 +103,14 @@ class TestTierHierarchy:
             )
 
     def test_default3_cannot_be_replaced(self):
-        # DEFAULT_HIERARCHY and the StorageTier facade are bound to the
-        # default3 specs at import; replacing the preset would orphan them.
+        # DEFAULT_HIERARCHY is bound to the default3 specs at import;
+        # replacing the preset would orphan them.
         with pytest.raises(ValueError, match="cannot be replaced"):
             register_hierarchy(
                 "default3",
                 lambda: TierHierarchy("default3", []),
                 replace=True,
             )
-
-
-class TestStorageTierShim:
-    def test_attributes_are_default_specs(self):
-        assert StorageTier.MEMORY is DEFAULT_HIERARCHY.tier("MEMORY")
-        assert StorageTier.HDD is DEFAULT_HIERARCHY.lowest
-
-    def test_iteration_and_len(self):
-        assert list(StorageTier) == list(DEFAULT_HIERARCHY.tiers)
-        assert len(StorageTier) == 3
 
     def test_media_profiles_faster_up_the_stack(self):
         tiers = list(get_hierarchy("remote5"))
@@ -133,15 +124,15 @@ class TestBuildTieredCluster:
     def test_default3_matches_local_cluster_shape(self):
         topo = build_tiered_cluster(3)
         node = topo.nodes[0]
-        assert node.tier_capacity(StorageTier.MEMORY) == 4 * GB
-        assert node.tier_capacity(StorageTier.SSD) == 64 * GB
-        assert node.tier_capacity(StorageTier.HDD) == 400 * GB
-        assert len(node.devices(StorageTier.HDD)) == 3
+        assert node.tier_capacity(MEMORY) == 4 * GB
+        assert node.tier_capacity(SSD) == 64 * GB
+        assert node.tier_capacity(HDD) == 400 * GB
+        assert len(node.devices(HDD)) == 3
         assert topo.hierarchy is DEFAULT_HIERARCHY
 
     def test_capacity_overrides_by_name(self):
         topo = build_tiered_cluster(2, capacity_overrides={"memory": 8 * GB})
-        assert topo.nodes[0].tier_capacity(StorageTier.MEMORY) == 8 * GB
+        assert topo.nodes[0].tier_capacity(MEMORY) == 8 * GB
 
     def test_unknown_override_rejected(self):
         with pytest.raises(KeyError):

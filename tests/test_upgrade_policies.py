@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import StorageTier, build_local_cluster
+from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.core import ReplicationManager, configure_policies
@@ -10,9 +10,11 @@ from repro.core.upgrade import (
     OsaUpgradePolicy,
     XgbUpgradePolicy,
 )
-from repro.dfs import DFSClient, Master, NodeManager, NodeManager
+from repro.dfs import DFSClient, Master, NodeManager
 from repro.dfs.placement import SingleTierPlacementPolicy
 from repro.sim import Simulator
+
+MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 @pytest.fixture
@@ -34,7 +36,7 @@ class TestOsa:
         file = client.create("/f", 64 * MB)
         assert policy.start_upgrade(file)
         assert policy.select_file_to_upgrade(file) is file
-        assert policy.select_upgrade_tier(file) is StorageTier.MEMORY
+        assert policy.select_upgrade_tier(file) is MEMORY
         assert policy.stop_upgrade()  # single-file process
 
     def test_skips_memory_resident_file(self, hdd_stack):
@@ -43,7 +45,7 @@ class TestOsa:
         file = client.create("/f", 64 * MB)
         client.open("/f")
         sim.run(until=sim.now() + 120)  # let the upgrade commit
-        assert master.blocks.file_has_tier(file, StorageTier.MEMORY)
+        assert master.blocks.file_has_tier(file, MEMORY)
         assert not manager.upgrade_policy.start_upgrade(file)
 
     def test_not_proactive(self, hdd_stack):
@@ -75,7 +77,7 @@ class TestLrfuUpgrade:
         for _ in range(4):
             client.open("/f")
         sim.run(until=sim.now() + 300)
-        if master.blocks.file_has_tier(file, StorageTier.MEMORY):
+        if master.blocks.file_has_tier(file, MEMORY):
             assert not policy.start_upgrade(file)
 
 
@@ -110,7 +112,7 @@ class TestExdUpgrade:
         sim.run(until=sim.now() + 600)
         cold = client.create("/cold", 400 * MB)
         client.open(cold.path)
-        free = manager.ctx.tier_free(StorageTier.MEMORY)
+        free = manager.ctx.tier_free(MEMORY)
         if free < cold.size:
             # One access vs several high-weight victims: rejected.
             assert not policy.start_upgrade(cold)
@@ -136,7 +138,7 @@ class TestXgbUpgrade:
         file = client.create("/f", 64 * MB)
         client.open("/f")
         sim.run(until=sim.now() + 120)  # fallback upgrade commits
-        assert master.blocks.file_has_tier(file, StorageTier.MEMORY)
+        assert master.blocks.file_has_tier(file, MEMORY)
         assert not manager.upgrade_policy.start_upgrade(file)
 
     def test_budget_accounting(self, hdd_stack):
@@ -151,7 +153,4 @@ class TestXgbUpgrade:
         configure_policies(manager, upgrade="xgb")
         policy = manager.upgrade_policy
         file = client.create("/f", 64 * MB)
-        assert policy.upgrade_tier_candidates(file) == [
-            StorageTier.MEMORY,
-            StorageTier.SSD,
-        ]
+        assert policy.upgrade_tier_candidates(file) == [MEMORY, SSD]

@@ -32,7 +32,7 @@ SOURCE_ROOT = REPO_ROOT / "src" / "repro"
 
 #: The ratchet: measured repo-wide coverage, rounded down.  Raise it as
 #: coverage improves; never lower it to merge undocumented code.
-RATCHET = 75.3
+RATCHET = 76.4
 
 
 def public_defs(path: Path) -> Iterator[Tuple[str, bool]]:
