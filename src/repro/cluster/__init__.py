@@ -1,7 +1,7 @@
 """Cluster hardware model: storage media, tiers, devices, nodes, topology.
 
 The simulated cluster mirrors the paper's testbed (Sec 7): one Master and
-N Workers, each Worker exposing the tiers of a configurable
+N workers, each exposing the tiers of a configurable
 :class:`TierHierarchy` (memory/SSD/HDD by default) with per-tier
 capacities and media-dependent bandwidths.
 """

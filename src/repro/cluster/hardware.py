@@ -235,7 +235,7 @@ class TierHierarchy:
 
 #: Node-to-node network bandwidth: 10GbE (Fig 2 read throughputs require
 #: more than 1GbE).  This is the single shared definition — the I/O
-#: model, Replication Monitor, and Worker facade all import it.
+#: model and the Replication Monitor both import it.
 DEFAULT_NETWORK_BANDWIDTH = 1250 * MB
 
 #: Aggregate bandwidth of the shared endpoint in front of a rack-remote

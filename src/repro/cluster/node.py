@@ -1,6 +1,6 @@
 """Cluster nodes: a bundle of storage devices plus task slots.
 
-A :class:`Node` corresponds to a Worker in the paper's architecture
+A :class:`Node` corresponds to a worker in the paper's architecture
 (Fig 3): it stores block replicas on its locally attached media and runs
 map/reduce tasks in a fixed number of slots.  Which tiers a node exposes
 — and how much of each — comes from a list of :class:`TierProvision`
@@ -36,6 +36,7 @@ class TierProvision:
     profile: Optional[MediaProfile] = None
 
     def device_capacity(self) -> int:
+        """Bytes per device; the node's first device takes the remainder."""
         return self.capacity // self.num_devices
 
 
@@ -111,6 +112,7 @@ class Node:
         return [t for t in self.hierarchy if self.tier_devices[t]]
 
     def has_tier(self, tier: TierSpec) -> bool:
+        """True when the node has at least one device of ``tier``."""
         # Plain indexing on purpose: the dict is pre-seeded with every
         # tier of this node's hierarchy, so a KeyError always means a
         # spec from a *different* hierarchy leaked in — raising beats
@@ -119,12 +121,15 @@ class Node:
 
     # -- capacity accounting -------------------------------------------------
     def tier_capacity(self, tier: TierSpec) -> int:
+        """Bytes the node's ``tier`` devices hold in total."""
         return sum(d.capacity for d in self.tier_devices[tier])
 
     def tier_used(self, tier: TierSpec) -> int:
+        """Replica bytes stored on the node's ``tier`` devices."""
         return sum(d.used for d in self.tier_devices[tier])
 
     def tier_free(self, tier: TierSpec) -> int:
+        """Bytes still free on the node's ``tier`` devices."""
         return sum(d.free for d in self.tier_devices[tier])
 
     def tier_utilization(self, tier: TierSpec) -> float:
@@ -153,6 +158,7 @@ class Node:
         return best
 
     def total_used(self) -> int:
+        """Replica bytes stored on the node, over all tiers."""
         return sum(d.used for d in self.devices())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

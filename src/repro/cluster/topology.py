@@ -28,6 +28,7 @@ class Rack:
         self.uplink_bandwidth = uplink_bandwidth
 
     def add(self, node: Node) -> None:
+        """Put ``node`` in this rack."""
         self.nodes.append(node)
 
     def __len__(self) -> int:
@@ -62,6 +63,11 @@ class ClusterTopology:
 
     # -- construction --------------------------------------------------------
     def add_node(self, node: Node) -> None:
+        """Join ``node`` to its rack and to the per-tier aggregates.
+
+        The first node fixes the hierarchy when none was given; a node
+        of another hierarchy, or a duplicate id, raises ``ValueError``.
+        """
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         if self._hierarchy is None:
@@ -89,13 +95,16 @@ class ClusterTopology:
     # -- lookups ---------------------------------------------------------------
     @property
     def nodes(self) -> List[Node]:
+        """Every node in join order, dead ones included."""
         return list(self._nodes.values())
 
     @property
     def racks(self) -> List[Rack]:
+        """Every rack in order of its first node."""
         return list(self._racks.values())
 
     def node(self, node_id: str) -> Node:
+        """The node named ``node_id`` (``KeyError`` if unknown)."""
         return self._nodes[node_id]
 
     def rack_of(self, node_id: str) -> Rack:
@@ -126,15 +135,19 @@ class ClusterTopology:
     # dead nodes stay counted, exactly like the per-node sums these
     # replaced (``nodes`` never filtered on ``alive``).
     def tier_capacity(self, tier: TierSpec) -> int:
+        """Bytes the cluster's ``tier`` devices hold in total."""
         return self._tier_capacity.get(tier, 0)
 
     def tier_used(self, tier: TierSpec) -> int:
+        """Replica bytes stored on ``tier`` across the cluster."""
         return self._tier_used.get(tier, 0)
 
     def tier_free(self, tier: TierSpec) -> int:
+        """Bytes still free on ``tier`` across the cluster."""
         return self._tier_capacity.get(tier, 0) - self._tier_used.get(tier, 0)
 
     def tier_utilization(self, tier: TierSpec) -> float:
+        """Used fraction of ``tier``; 1.0 when the cluster has none of it."""
         capacity = self._tier_capacity.get(tier, 0)
         if capacity == 0:
             return 1.0
@@ -145,4 +158,5 @@ class ClusterTopology:
         return [n for n in self.nodes if n.alive and n.has_tier(tier)]
 
     def total_task_slots(self) -> int:
+        """Map/reduce task slots over all nodes."""
         return sum(n.task_slots for n in self.nodes)

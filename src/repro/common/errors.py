@@ -23,10 +23,6 @@ class FileAlreadyExistsError(InvalidPathError):
     """Attempted to create a path that already exists."""
 
 
-class NotADirectoryError_(InvalidPathError):
-    """A path component that must be a directory is a file."""
-
-
 class InsufficientSpaceError(ReproError):
     """A storage device or tier did not have room for a write."""
 
@@ -41,7 +37,3 @@ class PolicyError(ReproError):
 
 class SimulationError(ReproError):
     """The discrete-event simulator was driven incorrectly."""
-
-
-class ModelNotReadyError(ReproError):
-    """An ML model was asked for predictions before its warm-up finished."""

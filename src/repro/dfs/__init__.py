@@ -20,7 +20,6 @@ from repro.dfs.placement import (
     PlacementPolicy,
     PlacementTarget,
 )
-from repro.dfs.worker import Worker
 from repro.dfs.master import BlockRead, FileAccess, Master, ReadPlan
 from repro.dfs.client import DFSClient
 from repro.dfs.faults import FaultEvent, FaultInjector, FaultStats
@@ -41,7 +40,6 @@ __all__ = [
     "HdfsPlacementPolicy",
     "HdfsCachePlacementPolicy",
     "OctopusPlacementPolicy",
-    "Worker",
     "Master",
     "FileAccess",
     "ReadPlan",

@@ -33,6 +33,7 @@ class ReplicaInfo:
 
     @property
     def size(self) -> int:
+        """Bytes of the block this replica copies."""
         return self.block.size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -59,9 +60,11 @@ class BlockInfo:
     # -- replica queries -----------------------------------------------------
     @property
     def replica_count(self) -> int:
+        """Number of live replicas of this block."""
         return len(self.replicas)
 
     def replica_list(self) -> List[ReplicaInfo]:
+        """The replicas in the order they were added."""
         return list(self.replicas.values())
 
     def tiers(self) -> List[TierSpec]:
@@ -78,6 +81,7 @@ class BlockInfo:
         return sorted({r.node_id for r in self.replicas.values()})
 
     def replicas_on_tier(self, tier: TierSpec) -> List[ReplicaInfo]:
+        """The replicas stored on ``tier``, on any node."""
         return [r for r in self.replicas.values() if r.tier == tier]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -7,7 +7,7 @@ accounting and the metadata maps can never diverge.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.hardware import StorageDevice, TierSpec
 from repro.cluster.topology import ClusterTopology
@@ -169,27 +169,34 @@ class BlockManager:
         return device
 
     def block(self, block_id: int) -> BlockInfo:
+        """The block ``block_id`` (``KeyError`` if unknown)."""
         return self._blocks[block_id]
 
     def has_block(self, block_id: int) -> bool:
+        """True while ``block_id`` belongs to a live file."""
         return block_id in self._blocks
 
     def blocks_of(self, file: INodeFile) -> List[BlockInfo]:
+        """The blocks of ``file`` in file order."""
         return [self._blocks[bid] for bid in self._file_blocks.get(file.inode_id, [])]
 
     def replica(self, replica_id: int) -> ReplicaInfo:
+        """The replica ``replica_id``; raises :class:`ReplicaNotFoundError`."""
         if replica_id not in self._replicas:
             raise ReplicaNotFoundError(f"unknown replica {replica_id}")
         return self._replicas[replica_id]
 
     def replicas_on(self, node_id: str, tier: TierSpec) -> List[ReplicaInfo]:
+        """The replicas ``node_id`` stores on ``tier`` (its block report)."""
         ids = self._by_node_tier.get((node_id, tier), set())
         return [self._replicas[rid] for rid in ids]
 
     def block_count(self) -> int:
+        """Blocks of all live files."""
         return len(self._blocks)
 
     def replica_count(self) -> int:
+        """Replicas over all blocks."""
         return len(self._replicas)
 
     # -- file-level tier queries (all-or-nothing semantics, Sec 3.2) --------------
@@ -223,6 +230,7 @@ class BlockManager:
         return best
 
     def file_has_tier(self, file: INodeFile, tier: TierSpec) -> bool:
+        """True when every block of ``file`` has a replica on ``tier``."""
         nblocks = len(self._file_blocks.get(file.inode_id, ()))
         if nblocks == 0:
             return False
@@ -230,6 +238,7 @@ class BlockManager:
         return covered is not None and covered.get(tier, 0) == nblocks
 
     def file_has_tier_or_better(self, file: INodeFile, tier: TierSpec) -> bool:
+        """True when ``file`` is complete on ``tier`` or a faster tier."""
         best = self.file_best_tier(file)
         return best is not None and best <= tier
 
@@ -243,22 +252,3 @@ class BlockManager:
     def tier_file_bytes(self, tier: TierSpec) -> Dict[int, int]:
         """inode_id -> replica bytes on ``tier`` (live index; read-only)."""
         return self._tier_file_bytes.get(tier, {})
-
-    # -- replication health (used by the Replication Monitor) ----------------------
-    def under_replicated(self, files: Iterable[INodeFile]) -> List[BlockInfo]:
-        """Blocks with fewer replicas than their file's replication factor."""
-        result = []
-        for file in files:
-            for block in self.blocks_of(file):
-                if block.replica_count < file.replication:
-                    result.append(block)
-        return result
-
-    def over_replicated(self, files: Iterable[INodeFile]) -> List[BlockInfo]:
-        """Blocks with more replicas than their file's replication factor."""
-        result = []
-        for file in files:
-            for block in self.blocks_of(file):
-                if block.replica_count > file.replication:
-                    result.append(block)
-        return result

@@ -58,12 +58,15 @@ class DFSClient:
         )
 
     def mkdirs(self, path: str) -> None:
+        """Create directory ``path`` and any missing parents."""
         self._master.mkdirs(path)
 
     def delete(self, path: str) -> None:
+        """Delete the file at ``path`` and release its replicas."""
         self._master.delete_file(path)
 
     def rename(self, src: str, dst: str) -> None:
+        """Move ``src`` to ``dst``, which must not exist yet."""
         self._master.fs.rename(src, dst)
 
     # -- reads ---------------------------------------------------------------
@@ -73,9 +76,11 @@ class DFSClient:
 
     # -- metadata ---------------------------------------------------------------
     def exists(self, path: str) -> bool:
+        """True when a file or directory lives at ``path``."""
         return self._master.exists(path)
 
     def file_status(self, path: str) -> FileStatus:
+        """Metadata of the entry at ``path`` (``FileNotFoundError`` if none)."""
         node = self._master.fs.get(path)
         if node is None:
             raise FileNotFoundError(path)
@@ -96,12 +101,6 @@ class DFSClient:
             creation_time=node.creation_time,
             block_count=0,
         )
-
-    def list_status(self, path: str) -> List[FileStatus]:
-        return [
-            self.file_status(child.path)
-            for child in self._master.fs.list_dir(path)
-        ]
 
     def file_tiers(self, path: str) -> List[TierSpec]:
         """Tiers holding the complete file, fastest first."""

@@ -73,13 +73,6 @@ class ReadPlan:
             result[read.replica.tier] += read.block.size
         return result
 
-    @property
-    def memory_access(self) -> bool:
-        """True when every block was served from the highest tier."""
-        return bool(self.reads) and all(
-            r.replica.tier.is_highest for r in self.reads
-        )
-
 
 @dataclass
 class TransferTicket:

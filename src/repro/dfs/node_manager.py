@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.cluster.hardware import TierSpec
 from repro.cluster.topology import ClusterTopology
@@ -29,16 +29,6 @@ class NodeStats:
     )
     active_transfers: int = 0
     total_transfers: int = 0
-
-    @property
-    def total_bytes_read(self) -> int:
-        """Bytes read from this node, over all tiers."""
-        return sum(self.bytes_read.values())
-
-    @property
-    def total_bytes_written(self) -> int:
-        """Bytes written to this node, over all tiers."""
-        return sum(self.bytes_written.values())
 
 
 class NodeManager:
@@ -91,18 +81,3 @@ class NodeManager:
         """
         active = self._stats[node_id].active_transfers
         return active / (active + 1.0)
-
-    def least_loaded(self, node_ids: List[str]) -> str:
-        """The node among ``node_ids`` with the lowest load score."""
-        if not node_ids:
-            raise ValueError("empty node list")
-        return min(node_ids, key=lambda n: (self.load_score(n), n))
-
-    # -- aggregates ------------------------------------------------------------
-    def cluster_bytes_read(self, tier: TierSpec) -> int:
-        """Bytes read from ``tier`` across the cluster."""
-        return sum(s.bytes_read.get(tier, 0) for s in self._stats.values())
-
-    def cluster_bytes_written(self, tier: TierSpec) -> int:
-        """Bytes written to ``tier`` across the cluster."""
-        return sum(s.bytes_written.get(tier, 0) for s in self._stats.values())

@@ -38,9 +38,14 @@ callback, event name and standalone rate are built once, not per
 reschedule.
 The scalar path is arithmetic-for-arithmetic identical to the naive
 from-scratch solver (:func:`compute_max_min_rates_reference`) over the
-historical component order, which is what keeps full-scale runs
-bit-identical to the pre-registry engine; the vectorized path is
-reserved for component sizes the reference runs never reach.
+historical component order, which is what keeps runs below the
+threshold bit-identical to the pre-registry engine.  The vectorized path
+sums in numpy's order instead, and ordinary runs reach it.  FB
+fair-share runs under LRU+OSA on 11 workers peak at 98 flows at full
+scale and seed 42, but at 192 at seed 7 (125 vector solves) and 224 at
+seed 5150 (542); at 3x scale and seed 42 they peak at 280 flows with
+2,457 vector solves.  Each of these runs gave the same hit ratio and
+task seconds with the vectorized path turned off.
 """
 
 from __future__ import annotations
@@ -382,10 +387,11 @@ class FairShareEngine:
     """
 
     #: Component size at which re-solving switches to the vectorized
-    #: filling.  Must stay above the largest component the bit-identical
-    #: reference workloads produce (full-scale FB peaks at 112 flows).
-    #: Lowering it does not pay: at 10x FB scale, 32 tripled the vector
-    #: solves and ran ~7% slower end to end.
+    #: filling.  Full-scale FB crosses it at some seeds (max component
+    #: 192 at seed 7, 98 at seed 42) and 3x FB at seed 42 peaks at 280
+    #: flows; see the module docstring.  Lowering it does not pay: at
+    #: 10x FB scale, 32 tripled the vector solves and ran ~7% slower
+    #: end to end.
     vector_threshold = 128
 
     def __init__(self, sim: Simulator) -> None:
@@ -615,16 +621,6 @@ class FairShareEngine:
         """Number of active flows linked to ``resource``."""
         registry = self._users.get(resource.name)
         return len(registry) if registry else 0
-
-    def resource_demand(self, resource: Resource) -> float:
-        """Current allocated consumption on ``resource`` (<= capacity)."""
-        registry = self._users.get(resource.name, {})
-        return fold_sum(
-            flow.rate * weight
-            for flow in registry.values()
-            for r, weight in flow.links
-            if r is resource
-        )
 
     @property
     def contention_seconds(self) -> float:

@@ -518,20 +518,3 @@ def run_workload(
     """Convenience wrapper: build a runner and execute it."""
     return WorkloadRunner(workload, config).run()
 
-
-def run_scenario(
-    name: str, config: Optional[SystemConfig] = None, **params: Any
-) -> RunResult:
-    """Run a registered scenario end to end through the streaming path.
-
-    ``params`` (``seed``, ``scale``, scenario-specific knobs) go to the
-    scenario builder; the system configuration defaults to the standard
-    Octopus setup when ``config`` is omitted.
-    """
-    from repro.workload.scenarios import build_scenario
-
-    if config is None:
-        # Name the scenario so preset auto-selection matches the CLI's
-        # behaviour for the same run; an explicit config is taken as-is.
-        config = SystemConfig(label=name, scenario=name)
-    return WorkloadRunner(build_scenario(name, **params), config).run()

@@ -27,7 +27,6 @@ from repro.ml.metrics import (
     precision_recall,
     roc_curve,
 )
-from repro.ml.explain import Explanation, explain_prediction
 from repro.ml.serialize import load_model, save_model
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "precision_recall",
     "confusion_matrix",
     "log_loss",
-    "Explanation",
-    "explain_prediction",
     "save_model",
     "load_model",
 ]

@@ -243,26 +243,6 @@ class FileAccessModel:
             and self.rolling_error_rate <= self.ready_error_threshold
         )
 
-    def predict_probability(
-        self,
-        size: int,
-        creation_time: float,
-        access_times: Sequence[float],
-        now: float,
-        tier_level: Optional[int] = None,
-    ) -> Optional[float]:
-        """P(accessed within ``window`` after ``now``), or None if not ready.
-
-        The reference time equals ``now`` for predictions (Sec 4.4).
-        """
-        if not self.ready:
-            return None
-        features = build_feature_vector(
-            self.spec, size, creation_time, access_times, now,
-            tier_level=tier_level,
-        )
-        return self.model.predict_one(features)
-
     # -- dataset export (for offline evaluation experiments) -------------------------
     def dataset(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All points seen so far as (X, y, timestamps) arrays."""

@@ -136,12 +136,6 @@ class Trace:
                 counts[path] = counts.get(path, 0) + 1
         return counts
 
-    def never_read_fraction(self) -> float:
-        counts = self.access_counts()
-        if not counts:
-            return 0.0
-        return sum(1 for c in counts.values() if c == 0) / len(counts)
-
     def jobs_per_bin(self) -> Dict[str, int]:
         result = {b.name: 0 for b in BINS}
         for job in self.jobs:

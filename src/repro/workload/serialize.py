@@ -30,7 +30,6 @@ from repro.workload.jobs import (
     StreamEvent,
     Trace,
     TraceJob,
-    event_time,
 )
 
 #: Streaming JSONL format version (header line ``kind: "header"``).
@@ -258,14 +257,3 @@ def iter_events(path: str) -> Iterator[StreamEvent]:
             if record.get("kind") == END_KIND:
                 return
             yield event_from_dict(record)
-
-
-def stream_duration(path: str) -> float:
-    """Duration of a JSONL trace: header value, else a scan for max time."""
-    header = read_stream_header(path)
-    if "duration" in header:
-        return float(header["duration"])
-    last = 0.0
-    for event in iter_events(path):
-        last = max(last, event_time(event))
-    return last

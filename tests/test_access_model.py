@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.units import MINUTES
 from repro.ml.access_model import FileAccessModel, LearningMode
+from repro.ml.features import build_feature_vector
 from repro.ml.gbt import GBTParams, GradientBoostedTrees
 from repro.ml.serialize import model_to_dict
 
@@ -57,7 +58,7 @@ class TestWarmupGating:
     def test_not_ready_without_data(self):
         model = FileAccessModel(window=1800.0)
         assert not model.ready
-        assert model.predict_probability(1, 0.0, [], now=5000.0) is None
+        assert not model.is_fitted
 
     def test_becomes_ready_on_learnable_stream(self):
         model = FileAccessModel(
@@ -77,16 +78,19 @@ class TestWarmupGating:
             min_eval_points=10,
         )
         feed_periodic_pattern(model)
+        assert model.ready
         now = 21000.0
+
+        def predict(accesses):
+            # The reference time equals ``now`` for predictions (Sec 4.4).
+            x = build_feature_vector(model.spec, 64 * 2**20, 0.0, accesses, now)
+            return model.model.predict_one(x)
+
         # Hot: 10-minute period, next access well inside the 30min window.
-        hot = model.predict_probability(
-            64 * 2**20, 0.0, list(np.arange(0, now, 600.0)[-12:]), now
-        )
+        hot = predict(list(np.arange(0, now, 600.0)[-12:]))
         # Cold: 2-hour period, mid-cycle (next access ~1h away, outside
         # the window) — in-distribution for the training stream.
-        cold_accesses = list(np.arange(0.0, now - 3500.0, 7200.0)[-12:])
-        cold = model.predict_probability(64 * 2**20, 0.0, cold_accesses, now)
-        assert hot is not None and cold is not None
+        cold = predict(list(np.arange(0.0, now - 3500.0, 7200.0)[-12:]))
         assert hot > cold
 
     def test_accuracy_history_recorded(self):

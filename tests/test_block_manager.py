@@ -195,17 +195,3 @@ class TestFileTierQueries:
         assert manager.file_bytes_on_tier(file, MEMORY) == 128 * MB
         assert manager.file_bytes_on_tier(file, SSD) == 0
 
-
-class TestReplicationHealth:
-    def test_under_and_over_replicated(self, setup):
-        topo, manager, file = setup  # replication factor 2
-        block = manager.allocate_block(file, 0, MB)
-        device = first_device(topo, 0, HDD)
-        manager.add_replica(block, topo.nodes[0].node_id, HDD, device.device_id)
-        assert manager.under_replicated([file]) == [block]
-        assert manager.over_replicated([file]) == []
-        for idx in (1, 2):
-            device = first_device(topo, idx, HDD)
-            manager.add_replica(block, topo.nodes[idx].node_id, HDD, device.device_id)
-        assert manager.under_replicated([file]) == []
-        assert manager.over_replicated([file]) == [block]

@@ -359,7 +359,7 @@ class TestLiveCommands:
 
 
 class TestPresetFlag:
-    def run_scenario(self, preset):
+    def run_flashcrowd(self, preset):
         return main(
             [
                 "scenario",
@@ -379,20 +379,20 @@ class TestPresetFlag:
         )
 
     def test_preset_auto_reported(self, capsys):
-        assert self.run_scenario("auto") == 0
+        assert self.run_flashcrowd("auto") == 0
         assert "preset:           flashcrowd" in capsys.readouterr().out
 
     def test_preset_none_suppressed(self, capsys):
-        assert self.run_scenario("none") == 0
+        assert self.run_flashcrowd("none") == 0
         assert "preset:" not in capsys.readouterr().out
 
     def test_preset_explicit(self, capsys):
-        assert self.run_scenario("mlscan") == 0
+        assert self.run_flashcrowd("mlscan") == 0
         assert "preset:           mlscan" in capsys.readouterr().out
 
     def test_unknown_preset_errors(self):
         with pytest.raises(ValueError, match="unknown preset"):
-            self.run_scenario("nope")
+            self.run_flashcrowd("nope")
 
     def test_list_presets(self, capsys):
         from repro.core.presets import preset_names

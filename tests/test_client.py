@@ -37,12 +37,6 @@ class TestClientApi:
         with pytest.raises(FileNotFoundError):
             client.file_status("/missing")
 
-    def test_list_status_sorted(self, client):
-        for name in ("c", "a", "b"):
-            client.create(f"/d/{name}", MB)
-        names = [s.path.rsplit("/", 1)[-1] for s in client.list_status("/d")]
-        assert names == ["a", "b", "c"]
-
     def test_delete(self, client):
         client.create("/f", MB)
         client.delete("/f")

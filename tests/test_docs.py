@@ -1,5 +1,6 @@
 """Tests keeping the docs site buildable and reference-clean in tier-1."""
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -64,6 +65,16 @@ class TestApiReference:
         assert "`repro.workload.live`" in index.read_text()
         assert (tmp_path / "repro.workload.streams.md").exists()
 
+    def test_every_export_resolves(self, gen_api):
+        # A name left in ``__all__`` after its definition is deleted
+        # breaks ``from package import *`` and the API pages.
+        stale = []
+        for name in gen_api.walk_modules():
+            module = importlib.import_module(name)
+            exports = getattr(module, "__all__", ())
+            stale += [f"{name}.{e}" for e in exports if not hasattr(module, e)]
+        assert stale == []
+
     def test_broken_reference_detected(self, gen_api):
         assert not gen_api._resolve("repro.workload.NoSuchThing", "repro.workload")
         assert gen_api._resolve(
@@ -89,3 +100,22 @@ class TestDocstringCoverage:
     def test_gate_fails_above_current_coverage(self, capsys):
         check = load_tool("check_docstrings")
         assert check.main(["--min-coverage", "100"]) == 1
+
+    def test_printed_coverage_rounds_down(self, capsys, monkeypatch, tmp_path):
+        # Module + documented def + undocumented def: 2/3 = 66.67%.
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            '"""A module."""\n\n'
+            'def documented():\n    """Has one."""\n\n'
+            "def bare():\n    pass\n"
+        )
+        check = load_tool("check_docstrings")
+        monkeypatch.setattr(check, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(check, "SOURCE_ROOT", package)
+        assert check.main(["--min-coverage", "66.6"]) == 0
+        out = capsys.readouterr().out
+        total = next(line for line in out.splitlines() if line.startswith("TOTAL"))
+        assert total.split()[1:] == ["2/3", "66.6%"]
+        assert "passed (66.6% >= 66.6%" in out
+        assert "66.7" not in out

@@ -466,17 +466,6 @@ class TestSolverExamples:
 class TestFairShareEngine:
     """Event-driven behaviour: re-pricing and rescheduling."""
 
-    def test_resource_demand_is_a_left_to_right_fold(self, monkeypatch):
-        sim = Simulator()
-        engine = FairShareEngine(sim)
-        r = Resource("dev", 1000.0)
-        flows = [engine.submit(1000.0, [(r, 1.0)], lambda: None) for _ in range(3)]
-        for flow, rate in zip(flows, TestWeightFold.TRIPLE):
-            flow.rate = rate
-        # Shadow the builtin inside the module, as Python 3.12 would.
-        monkeypatch.setattr(flows_module, "sum", math.fsum, raising=False)
-        assert engine.resource_demand(r) == 3.3636363636363633
-
     def test_single_flow_runs_at_full_rate(self):
         sim = Simulator()
         engine = FairShareEngine(sim)

@@ -86,7 +86,7 @@ class TestReadFile:
         master.create_file("/f", 128 * MB)
         plan = master.plan_read("/f")
         assert plan.reads[0].replica.tier is MEMORY
-        assert plan.memory_access
+        assert plan.bytes_by_tier()[MEMORY] == plan.total_bytes
 
     def test_memory_location_flag(self, master):
         master.create_file("/f", 128 * MB)
@@ -101,7 +101,8 @@ class TestReadFile:
         # No replica is chosen, so no node is credited with a read.
         nm = master.node_manager
         assert all(
-            nm.stats(n.node_id).total_bytes_read == 0 for n in master.topology.nodes
+            sum(nm.stats(n.node_id).bytes_read.values()) == 0
+            for n in master.topology.nodes
         )
 
     def test_plan_read_records_the_planned_replicas(self, master):

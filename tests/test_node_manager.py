@@ -26,14 +26,6 @@ class TestCounters:
         stats = manager.stats(n)
         assert stats.bytes_read[MEMORY] == 10 * MB
         assert stats.bytes_written[HDD] == 20 * MB
-        assert stats.total_bytes_read == 10 * MB
-        assert stats.total_bytes_written == 20 * MB
-
-    def test_cluster_aggregates(self, manager):
-        manager.record_read(node_id(manager, 0), SSD, 5 * MB)
-        manager.record_read(node_id(manager, 1), SSD, 7 * MB)
-        assert manager.cluster_bytes_read(SSD) == 12 * MB
-        assert manager.cluster_bytes_written(SSD) == 0
 
 
 class TestTransfers:
@@ -57,12 +49,3 @@ class TestTransfers:
         busy = manager.load_score(n)
         assert idle == 0.0
         assert 0.0 < busy < 1.0
-
-    def test_least_loaded(self, manager):
-        a, b = node_id(manager, 0), node_id(manager, 1)
-        manager.transfer_started(a)
-        assert manager.least_loaded([a, b]) == b
-
-    def test_least_loaded_empty_rejected(self, manager):
-        with pytest.raises(ValueError):
-            manager.least_loaded([])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.runner import SystemConfig, run_scenario
+from repro.engine.runner import SystemConfig, WorkloadRunner
 from repro.workload.jobs import (
     FileCreation,
     FileDeletion,
@@ -124,17 +124,14 @@ class TestClassicCompat:
 class TestEndToEnd:
     @pytest.mark.parametrize("name", sorted(REQUIRED))
     def test_runs_through_the_system(self, name):
-        result = run_scenario(
-            name,
-            config=SystemConfig(
-                label=name,
-                placement="octopus",
-                downgrade="lru",
-                upgrade="osa",
-                workers=4,
-            ),
-            seed=13,
-            scale=SMALL[name],
+        config = SystemConfig(
+            label=name,
+            placement="octopus",
+            downgrade="lru",
+            upgrade="osa",
+            workers=4,
         )
+        stream = build_scenario(name, seed=13, scale=SMALL[name])
+        result = WorkloadRunner(stream, config).run()
         assert result.jobs_finished == result.jobs_submitted > 0
         assert 0.0 <= result.metrics.hit_ratio() <= 1.0

@@ -19,7 +19,6 @@ from repro.workload.serialize import (
     iter_events,
     read_stream_header,
     save_events,
-    stream_duration,
 )
 
 
@@ -120,7 +119,6 @@ class TestStreamingJsonl:
         header = read_stream_header(path)
         assert header["name"] == trace.name
         assert header["duration"] == trace.duration
-        assert stream_duration(path) == trace.duration
 
     def test_append_writer_continues_a_file(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -142,7 +140,6 @@ class TestStreamingJsonl:
         path.write_text('{"kind": "create", "time": 1.0, "path": "/a", "bytes": 5}\n')
         assert read_stream_header(str(path)) == {}
         assert list(iter_events(str(path))) == [FileCreation("/a", 5, 1.0)]
-        assert stream_duration(str(path)) == 1.0
 
     def test_bad_stream_version_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

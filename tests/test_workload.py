@@ -60,9 +60,6 @@ class TestTraceModel:
         assert counts["/cold"] == 0
         assert counts["/out0"] == 0
 
-    def test_never_read_fraction(self):
-        assert self.make_trace().never_read_fraction() == pytest.approx(0.5)
-
     def test_totals(self):
         trace = self.make_trace()
         assert trace.file_count == 4
@@ -101,8 +98,12 @@ class TestSynthesizer:
         assert 0.7 * 85 * GB < cmu.total_bytes < 1.3 * 85 * GB
 
     def test_never_read_fraction_near_target(self, fb, cmu):
-        assert fb.never_read_fraction() == pytest.approx(0.23, abs=0.05)
-        assert cmu.never_read_fraction() == pytest.approx(0.18, abs=0.05)
+        def never_read(trace):
+            counts = list(trace.access_counts().values())
+            return counts.count(0) / len(counts)
+
+        assert never_read(fb) == pytest.approx(0.23, abs=0.05)
+        assert never_read(cmu) == pytest.approx(0.18, abs=0.05)
 
     def test_popularity_skew(self, fb):
         counts = [c for c in fb.access_counts().values() if c > 0]

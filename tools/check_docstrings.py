@@ -12,6 +12,10 @@ is exempt — its contract belongs to the class docstring).  Two gates:
   public code without docstrings fails CI instead of silently eroding
   the docs.
 
+Every printed percentage is rounded *down* to 0.1, so the printed TOTAL
+is the figure to set the ratchet to; the gate itself compares the exact
+coverage.
+
 Usage::
 
     python tools/check_docstrings.py                 # gate at the ratchet
@@ -32,7 +36,12 @@ SOURCE_ROOT = REPO_ROOT / "src" / "repro"
 
 #: The ratchet: measured repo-wide coverage, rounded down.  Raise it as
 #: coverage improves; never lower it to merge undocumented code.
-RATCHET = 76.4
+RATCHET = 79.6
+
+
+def floor_percent(part: int, whole: int) -> float:
+    """``100 * part / whole`` rounded down to 0.1, in exact integer math."""
+    return (1000 * part // whole) / 10 if whole else 100.0
 
 
 def public_defs(path: Path) -> Iterator[Tuple[str, bool]]:
@@ -87,9 +96,11 @@ def main(argv=None) -> int:
     for name, documented, count in per_module:
         pct = 100.0 * documented / count if count else 100.0
         flag = "" if pct >= args.min_coverage else "  <-- below ratchet"
-        print(f"{name:<{width}}  {documented:>3}/{count:<3} {pct:6.1f}%{flag}")
+        shown = floor_percent(documented, count)
+        print(f"{name:<{width}}  {documented:>3}/{count:<3} {shown:6.1f}%{flag}")
     print("-" * (width + 20))
-    print(f"{'TOTAL':<{width}}  {total_doc:>3}/{total:<3} {coverage:6.1f}%")
+    shown = floor_percent(total_doc, total)
+    print(f"{'TOTAL':<{width}}  {total_doc:>3}/{total:<3} {shown:6.1f}%")
 
     if args.list_missing and missing:
         print("\nundocumented public defs:")
@@ -106,8 +117,8 @@ def main(argv=None) -> int:
         failed = True
     if coverage < args.min_coverage:
         print(
-            f"docstring coverage {coverage:.1f}% is below the ratchet "
-            f"{args.min_coverage:.1f}% — document the new public surface "
+            f"docstring coverage {shown:.1f}% is below the ratchet "
+            f"{args.min_coverage:g}% — document the new public surface "
             "(tools/check_docstrings.py --list-missing shows offenders)",
             file=sys.stderr,
         )
@@ -115,8 +126,8 @@ def main(argv=None) -> int:
     if failed:
         return 1
     print(
-        f"docstring coverage: passed ({coverage:.1f}% >= "
-        f"{args.min_coverage:.1f}%, module docstrings 100%)"
+        f"docstring coverage: passed ({shown:.1f}% >= "
+        f"{args.min_coverage:g}%, module docstrings 100%)"
     )
     return 0
 
