@@ -30,10 +30,9 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import tempfile
 from pathlib import Path
 
-from repro.sweep import SweepStore, make_cell, run_cell, run_cells
+from repro.sweep import make_cell, run_rows
 from repro.workload.profiles import PROFILES
 
 #: (cluster workers, workload scale, io models, engines) rows of the
@@ -159,20 +158,7 @@ def run_matrix(matrix, workload: str, seed: int, repeats: int, jobs: int = 1):
     cells = matrix_cells(matrix, workload, seed)
     best = [None] * len(cells)
     for _ in range(repeats):
-        if jobs == 1:
-            pass_rows = [project_row(run_cell(cell.config)) for cell in cells]
-        else:
-            with tempfile.TemporaryDirectory(prefix="bench-engine-") as tmp:
-                payloads = run_cells(
-                    cells, SweepStore(tmp, "bench"), jobs=jobs, retries=1
-                )
-            bad = [p for p in payloads if p["status"] != "ok"]
-            if bad:
-                raise SystemExit(
-                    f"{len(bad)} cell(s) failed: "
-                    + "; ".join(f"{p['cell_id']}: {p['error']}" for p in bad)
-                )
-            pass_rows = [project_row(p["row"]) for p in payloads]
+        pass_rows = [project_row(row) for row in run_rows(cells, jobs)]
         for i, row in enumerate(pass_rows):
             if best[i] is None or row["runtime_seconds"] < best[i]["runtime_seconds"]:
                 best[i] = row

@@ -38,7 +38,7 @@ import json
 import platform
 from pathlib import Path
 
-from repro.sweep import make_cell, run_cell
+from repro.sweep import make_cell, run_rows
 from repro.workload.scenarios import scenario_names
 
 #: Replay scale per mode: classic (fb/cmu) scales job count, generated
@@ -128,23 +128,7 @@ def main(argv=None) -> int:
         for name in names
         for io_model in IO_MODELS
     ]
-    if args.jobs == 1:
-        rows = [project_row(run_cell(cell.config)) for cell in cells]
-    else:
-        from repro.sweep import SweepStore, run_cells
-        import tempfile
-
-        with tempfile.TemporaryDirectory(prefix="bench-scenarios-") as tmp:
-            payloads = run_cells(
-                cells, SweepStore(tmp, "bench"), jobs=args.jobs, retries=1
-            )
-        bad = [p for p in payloads if p["status"] != "ok"]
-        if bad:
-            raise SystemExit(
-                f"{len(bad)} cell(s) failed: "
-                + "; ".join(f"{p['cell_id']}: {p['error']}" for p in bad)
-            )
-        rows = [project_row(p["row"]) for p in payloads]
+    rows = [project_row(row) for row in run_rows(cells, args.jobs)]
     for row in rows:
         print(
             f"{row['scenario']:12s} {row['io_model']:9s} scale={row['scale']:g} "

@@ -157,10 +157,6 @@ class Node:
                     best_utilization = utilization
         return best
 
-    def total_used(self) -> int:
-        """Replica bytes stored on the node, over all tiers."""
-        return sum(d.used for d in self.devices())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(
             f"{t.name}={self.tier_used(t)}/{self.tier_capacity(t)}"

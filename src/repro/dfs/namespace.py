@@ -295,11 +295,6 @@ class FSDirectory:
         return node
 
     # -- iteration ----------------------------------------------------------------
-    def list_dir(self, path: str) -> List[INode]:
-        """Children of the directory at ``path`` sorted by name."""
-        directory = self.get_directory(path)
-        return sorted(directory.children, key=lambda n: n.name)
-
     def iter_files(self, path: str = "/") -> Iterator[INodeFile]:
         """Yield every file under ``path`` (depth-first, sorted)."""
         start = self.get(path)

@@ -57,6 +57,14 @@ from repro.workload.streams import TraceStream, WorkloadStream
 
 PLACEMENT_NAMES = ("hdfs", "hdfs-cache", "octopus", "single-hdd")
 
+#: The :meth:`Simulator.stats` counters a :class:`RunResult` keeps.
+SIM_COUNTERS = (
+    "events_processed",
+    "events_cancelled",
+    "heap_peak",
+    "heap_compactions",
+)
+
 
 @dataclass
 class SystemConfig:
@@ -113,6 +121,7 @@ class SystemConfig:
 
     @property
     def uses_manager(self) -> bool:
+        """True when a downgrade or upgrade policy is configured."""
         return self.downgrade is not None or self.upgrade is not None
 
     def build_scenario(self) -> "WorkloadStream":
@@ -206,8 +215,44 @@ class RunResult:
     #: Live-transport counters (reorder-buffer depth, late/dropped
     #: events) when the workload was a LiveStream; None otherwise.
     live_stats: Optional[Dict[str, Any]] = None
+    #: Event-loop counters (:data:`SIM_COUNTERS`) of the simulator.
+    sim_counters: Dict[str, int] = field(default_factory=dict)
+
+    def fingerprint(self) -> Dict[str, Any]:
+        """Every deterministic outcome of the run, JSON-safe and unrounded.
+
+        The one definition of a run's exact outcome: two runs that must
+        be bit-identical (an optimisation against its parent, a streamed
+        workload against its materialized form) compare equal on it.
+        Wall-clock figures, pump back-pressure and live-transport
+        counters are left out, because they depend on the host or the
+        transport rather than on the simulation.
+        """
+        metrics = self.metrics
+        return {
+            "jobs_submitted": self.jobs_submitted,
+            "jobs_finished": self.jobs_finished,
+            "deletions_applied": self.deletions_applied,
+            "hit_ratio": metrics.hit_ratio(),
+            "byte_hit_ratio": metrics.byte_hit_ratio(),
+            "task_seconds": metrics.total_task_seconds(),
+            "bytes_read": metrics.bytes_read,
+            "bytes_written": metrics.bytes_written,
+            "elapsed": self.elapsed,
+            "transfers_committed": self.transfers_committed,
+            "bytes_upgraded_by_tier": self.bytes_upgraded_by_tier,
+            "bytes_downgraded_by_tier": self.bytes_downgraded_by_tier,
+            "queue_delay_by_tier": self.queue_delay_by_tier,
+            "bins": {
+                name: [b.jobs_completed, b.mean_completion_time]
+                for name, b in metrics.bins.items()
+            },
+            "io_stats": self.io_stats,
+            "sim": self.sim_counters,
+        }
 
     def summary(self) -> Dict[str, Any]:
+        """The headline figures, rounded for printing."""
         return {
             "label": self.label,
             "jobs": self.jobs_finished,
@@ -467,6 +512,7 @@ class WorkloadRunner:
         point-in-time; a concurrent snapshot is a consistent-enough
         observability view, not a transaction.
         """
+        sim_stats = self.sim.stats()
         result = RunResult(
             label=self.config.label,
             metrics=self.metrics,
@@ -483,6 +529,7 @@ class WorkloadRunner:
             pump_lead_max_seconds=self.pump_lead_max,
             pump_late_events=self.pump_late_events,
             queue_delay_by_tier=dict(self.iomodel.queue_delay_by_tier),
+            sim_counters={key: sim_stats[key] for key in SIM_COUNTERS},
         )
         live_stats = getattr(self.stream, "live_stats", None)
         if live_stats is not None:

@@ -123,28 +123,13 @@ class RowResult:
 def run_labelled_cells(labelled_cells, jobs: int):
     """Run ``(label, cell)`` pairs through the sweep orchestrator.
 
-    Returns one :class:`RowResult` per pair, in order.  Raises
-    ``RuntimeError`` naming every failed cell (after the orchestrator's
-    bounded retry) so experiments fail loudly rather than render a
-    partial table.
+    Returns one :class:`RowResult` per pair, in order; a failed cell
+    raises (see :func:`repro.sweep.run_rows`).
     """
-    import tempfile
+    from repro.sweep import run_rows
 
-    from repro.sweep import SweepStore, run_cells
-
-    cells = [cell for _, cell in labelled_cells]
-    with tempfile.TemporaryDirectory(prefix="experiment-sweep-") as tmp:
-        payloads = run_cells(cells, SweepStore(tmp, "experiment"), jobs=jobs)
-    bad = [p for p in payloads if p["status"] != "ok"]
-    if bad:
-        raise RuntimeError(
-            f"{len(bad)} experiment cell(s) failed: "
-            + "; ".join(f"{p['cell_id']}: {p['error']}" for p in bad)
-        )
-    return [
-        RowResult(payload["row"], label)
-        for (label, _), payload in zip(labelled_cells, payloads)
-    ]
+    rows = run_rows([cell for _, cell in labelled_cells], jobs)
+    return [RowResult(row, label) for (label, _), row in zip(labelled_cells, rows)]
 
 
 def format_table(

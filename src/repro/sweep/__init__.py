@@ -16,7 +16,7 @@ on ``benchmarks/bench_scenarios.py`` / ``bench_engine.py`` and on
 ``repro experiment scenarios`` / ``tuning-presets``.
 """
 
-from repro.sweep.orchestrator import default_jobs, run_cells, run_sweep
+from repro.sweep.orchestrator import default_jobs, run_cells, run_rows, run_sweep
 from repro.sweep.report import merge_report, render_markdown, report_fingerprints
 from repro.sweep.spec import (
     Cell,
@@ -45,5 +45,6 @@ __all__ = [
     "report_fingerprints",
     "run_cell",
     "run_cells",
+    "run_rows",
     "run_sweep",
 ]

@@ -197,6 +197,24 @@ def run_cells(
     return payloads
 
 
+def run_rows(cells: Sequence[Cell], jobs: int) -> List[Dict[str, Any]]:
+    """Run ``cells`` in a throwaway store; returns their rows in order.
+
+    Raises ``RuntimeError`` naming every cell that still failed after the
+    bounded retry, so callers fail loudly rather than report a partial
+    matrix.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-rows-") as tmp:
+        payloads = run_cells(cells, SweepStore(tmp, "rows"), jobs=jobs)
+    bad = [p for p in payloads if p["status"] != "ok"]
+    if bad:
+        raise RuntimeError(
+            f"{len(bad)} cell(s) failed: "
+            + "; ".join(f"{p['cell_id']}: {p['error']}" for p in bad)
+        )
+    return [p["row"] for p in payloads]
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -210,9 +228,9 @@ def run_sweep(
     """Expand ``spec``, execute every cell, and return the merged report.
 
     With ``store_root=None`` the run uses an ephemeral temporary store
-    (no resume, nothing left behind) — the mode the ``--jobs`` paths of
-    the benchmark scripts and experiment sweeps use.  The merged report
-    is also persisted as ``report.json`` inside persistent stores.
+    (no resume, nothing left behind; ``repro sweep run`` without
+    ``--store``).  The merged report is also persisted as
+    ``report.json`` inside persistent stores.
     """
     from repro.sweep.report import merge_report
 

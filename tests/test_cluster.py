@@ -61,7 +61,7 @@ class TestNode:
         node = two_tier_node()
         node.devices(MEMORY)[0].allocate(1, 1 * GB)
         assert node.tier_utilization(MEMORY) == pytest.approx(0.25)
-        assert node.total_used() == 1 * GB
+        assert sum(node.tier_used(t) for t in node.tiers()) == 1 * GB
 
 
 class TestTopology:

@@ -24,8 +24,8 @@ _SCALE = {"fb": 0.05, "cmu": 0.05}
 _DEFAULT_SCALE = 0.1
 
 
-def _fingerprint(scenario: str, io_model: str, engine: str):
-    """Every deterministic outcome of one scenario run."""
+def _run(scenario: str, io_model: str, engine: str):
+    """One tiny scenario run under ``engine``."""
     stream = build_scenario(
         scenario, seed=17, scale=_SCALE.get(scenario, _DEFAULT_SCALE)
     )
@@ -38,32 +38,16 @@ def _fingerprint(scenario: str, io_model: str, engine: str):
         seed=17,
         engine_mode=engine,
     )
-    runner = WorkloadRunner(stream, config)
-    result = runner.run()
-    sim = runner.sim
-    return {
-        "events_processed": sim.events_processed,
-        "events_cancelled": sim.events_cancelled,
-        "max_heap_size": sim.max_heap_size,
-        "heap_compactions": sim.heap_compactions,
-        "jobs_finished": result.jobs_finished,
-        "jobs_submitted": result.jobs_submitted,
-        "deletions_applied": result.deletions_applied,
-        "hit_ratio": result.metrics.hit_ratio(),
-        "byte_hit_ratio": result.metrics.byte_hit_ratio(),
-        "task_seconds": result.metrics.total_task_seconds(),
-        "transfers_committed": result.transfers_committed,
-        "elapsed": result.elapsed,
-    }
+    return WorkloadRunner(stream, config).run()
 
 
 class TestScenarioEquivalence:
     @pytest.mark.parametrize("scenario", sorted(scenario_names()))
     @pytest.mark.parametrize("io_model", ["snapshot", "fairshare"])
     def test_fast_matches_reference(self, scenario, io_model):
-        reference = _fingerprint(scenario, io_model, "reference")
-        fast = _fingerprint(scenario, io_model, "fast")
-        assert fast == reference
+        reference = _run(scenario, io_model, "reference")
+        fast = _run(scenario, io_model, "fast")
+        assert fast.fingerprint() == reference.fingerprint()
 
     def test_fast_uses_fast_simulator(self):
         stream = build_scenario("fb", seed=1, scale=0.05)

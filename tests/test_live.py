@@ -379,26 +379,12 @@ class TestRunnerIntegration:
             workers=4,
         )
 
-    @staticmethod
-    def fingerprint(result):
-        metrics = result.metrics
-        return (
-            result.jobs_finished,
-            result.jobs_submitted,
-            result.deletions_applied,
-            metrics.hit_ratio(),
-            metrics.byte_hit_ratio(),
-            metrics.total_task_seconds(),
-            result.elapsed,
-            result.transfers_committed,
-        )
-
     def test_live_run_matches_offline_run(self, tmp_path):
         path = str(tmp_path / "fb.jsonl")
         save_events(build_scenario("fb", seed=11, scale=0.05), path)
         offline = WorkloadRunner(ExternalTraceStream(path), self.config()).run()
         live = WorkloadRunner(LiveStream(path), self.config()).run()
-        assert self.fingerprint(live) == self.fingerprint(offline)
+        assert live.fingerprint() == offline.fingerprint()
 
     def test_live_run_through_real_pipe(self, tmp_path):
         # The canonical demo, in-process: generator thread feeding a
@@ -437,7 +423,7 @@ class TestRunnerIntegration:
             ).run()
         finally:
             producer.join()
-        assert self.fingerprint(live) == self.fingerprint(offline)
+        assert live.fingerprint() == offline.fingerprint()
         assert live.live_stats is not None
         assert live.live_stats["events_received"] > 0
 

@@ -232,9 +232,9 @@ class TestDecommission:
         master.create_file("/f", 128 * MB)
         victim = None
         for node in master.topology.nodes:
-            if node.total_used() > 0:
+            if sum(node.tier_used(t) for t in node.tiers()) > 0:
                 victim = node
                 break
         lost = master.decommission_node(victim.node_id)
         assert lost >= 1
-        assert victim.total_used() == 0
+        assert sum(victim.tier_used(t) for t in victim.tiers()) == 0

@@ -117,13 +117,6 @@ class TestFSDirectory:
         with pytest.raises(FileAlreadyExistsError):
             fs.rename("/a", "/b")
 
-    def test_list_dir_sorted(self):
-        fs = FSDirectory()
-        for name in ("zeta", "alpha", "mid"):
-            fs.create_file(f"/d/{name}", creation_time=0.0)
-        names = [n.name for n in fs.list_dir("/d")]
-        assert names == ["alpha", "mid", "zeta"]
-
     def test_iter_files_depth_first(self):
         fs = FSDirectory()
         fs.create_file("/a/1", creation_time=0.0)

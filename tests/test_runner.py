@@ -1,5 +1,7 @@
 """Tests for the end-to-end workload runner and scheduler behaviour."""
 
+import json
+
 import pytest
 
 from repro.common.units import MB
@@ -9,6 +11,8 @@ from repro.engine import (
     run_workload,
 )
 from repro.workload import FileCreation, OutputSpec, Trace, TraceJob
+from repro.workload.bins import BIN_NAMES
+from repro.workload.scenarios import build_scenario
 
 
 def tiny_trace():
@@ -155,3 +159,80 @@ class TestSchedulerBehaviour:
         result = runner.run()
         # With idle cluster and replicas on 3 nodes, the read is local.
         assert result.metrics.task_reads_memory == 1
+
+
+def fb_runner(seed, io_model="snapshot"):
+    """A tiny FB replay under LRU+OSA; ``seed`` draws the workload only."""
+    return WorkloadRunner(
+        build_scenario("fb", seed=seed, scale=0.05),
+        SystemConfig(
+            label="fp",
+            placement="octopus",
+            downgrade="lru",
+            upgrade="osa",
+            workers=4,
+            io_model=io_model,
+        ),
+    )
+
+
+class TestFingerprint:
+    KEYS = {
+        "jobs_submitted",
+        "jobs_finished",
+        "deletions_applied",
+        "hit_ratio",
+        "byte_hit_ratio",
+        "task_seconds",
+        "bytes_read",
+        "bytes_written",
+        "elapsed",
+        "transfers_committed",
+        "bytes_upgraded_by_tier",
+        "bytes_downgraded_by_tier",
+        "queue_delay_by_tier",
+        "bins",
+        "io_stats",
+        "sim",
+    }
+    SIM_KEYS = {
+        "events_processed",
+        "events_cancelled",
+        "heap_peak",
+        "heap_compactions",
+    }
+    FLOW_KEYS = {
+        "flows_started",
+        "flows_completed",
+        "recomputes",
+        "peak_concurrency",
+        "max_component",
+        "vector_solves",
+        "events_rescheduled",
+    }
+
+    @pytest.mark.parametrize("io_model", ["snapshot", "fairshare"])
+    def test_key_set_is_pinned(self, io_model):
+        fp = fb_runner(11, io_model).run().fingerprint()
+        assert set(fp) == self.KEYS
+        assert set(fp["sim"]) == self.SIM_KEYS
+        assert set(fp["bins"]) == set(BIN_NAMES)
+        assert fp["io_stats"]["model"] == io_model
+        flow_keys = self.FLOW_KEYS & set(fp["io_stats"])
+        assert flow_keys == (self.FLOW_KEYS if io_model == "fairshare" else set())
+
+    def test_json_safe_and_unrounded(self):
+        runner = fb_runner(11)
+        result = runner.run()
+        fp = result.fingerprint()
+        assert json.loads(json.dumps(fp)) == fp
+        assert fp["hit_ratio"] == result.metrics.hit_ratio()
+        assert fp["task_seconds"] == result.metrics.total_task_seconds()
+        assert fp["queue_delay_by_tier"] == runner.iomodel.queue_delay_by_tier
+        stats = runner.sim.stats()
+        assert fp["sim"] == {key: stats[key] for key in self.SIM_KEYS}
+
+    def test_workload_seed_changes_it(self):
+        first = fb_runner(11).run().fingerprint()
+        second = fb_runner(12).run().fingerprint()
+        assert first != second

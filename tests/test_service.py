@@ -451,7 +451,7 @@ class TestServiceEngine:
             == offline.metrics.mean_completion_times()
         )
         assert served.duration == offline.duration
-        assert served.jobs_finished == offline.jobs_finished
+        assert served.fingerprint() == offline.fingerprint()
 
     def test_results_log_survives_restart(self, tmp_path):
         log_path = str(tmp_path / "results.jsonl")

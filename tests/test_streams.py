@@ -1,7 +1,5 @@
 """Tests for the lazy workload-stream protocol and the streaming runner."""
 
-import json
-
 import pytest
 
 from repro.common.units import MB
@@ -150,28 +148,6 @@ class TestStreamUtilities:
         assert [event_time(e) for e in clip(events, 2.0)] == [1.0, 2.0]
 
 
-def fingerprint(result):
-    metrics = result.metrics
-    return json.dumps(
-        {
-            "jobs": result.jobs_finished,
-            "hit": metrics.hit_ratio(),
-            "byte_hit": metrics.byte_hit_ratio(),
-            "task_seconds": metrics.total_task_seconds(),
-            "elapsed": result.elapsed,
-            "up": result.bytes_upgraded_by_tier,
-            "down": result.bytes_downgraded_by_tier,
-            "transfers": result.transfers_committed,
-            "io": result.io_stats,
-            "bins": {
-                name: (b.jobs_completed, b.mean_completion_time)
-                for name, b in metrics.bins.items()
-            },
-        },
-        sort_keys=True,
-    )
-
-
 #: Pinned replay outcome of ``small_fb_trace(seed)`` under LRU-OSA on 5
 #: workers, keyed by (seed, io_model): ``repr`` of the hit ratio, byte
 #: hit ratio and task seconds, then events processed and transfers
@@ -281,7 +257,7 @@ class TestTieRule:
 
         timer._callback = spy
         result = runner.run()
-        return seen[0], fingerprint(result)
+        return seen[0], result.fingerprint()
 
     @pytest.mark.parametrize("form", ["trace", "stream", "external"])
     def test_workload_events_run_before_the_tick(self, form, tmp_path):
@@ -293,11 +269,11 @@ class TestTieRule:
         assert submitted == 1
 
     def test_every_form_replays_identically(self, tmp_path):
-        prints = {
+        trace, stream, external = (
             self.first_tick(self.workload(form, tmp_path))[1]
             for form in ("trace", "stream", "external")
-        }
-        assert len(prints) == 1
+        )
+        assert trace == stream == external
 
 
 class SpyStream(WorkloadStream):

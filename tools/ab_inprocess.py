@@ -9,11 +9,10 @@ the two are timed in pairs whose run order alternates.
 
 A pair replays the same inputs on both revisions.  Only
 ``WorkloadRunner.run()`` is timed; building the input and the runner is
-not.  Every input's outcome fingerprint (jobs finished, hit ratio, task
-seconds, events processed and cancelled, committed transfers, per-tier
-queue delay, and the flow engine's reschedules, recomputes and largest
-component) must be identical between the revisions, or the tool stops:
-a speedup that moves a simulated value is not a speedup.
+not.  Every input's outcome fingerprint (``RunResult.fingerprint()``)
+must be identical between the revisions, or the tool stops: a speedup
+that moves a simulated value is not a speedup.  A revision whose
+``RunResult`` has no ``fingerprint()`` is refused with exit status 2.
 
 Workloads (a run replays three inputs; input ``i`` of seed ``s`` uses
 seed ``s + 1000 i``, which is also the system seed):
@@ -146,21 +145,7 @@ class Revision:
         start = time.perf_counter()
         result = runner.run()
         seconds = time.perf_counter() - start
-        io_stats = result.io_stats
-        fingerprint = (
-            result.jobs_finished,
-            result.metrics.hit_ratio(),
-            result.metrics.total_task_seconds(),
-            runner.sim.events_processed,
-            runner.sim.events_cancelled,
-            result.transfers_committed,
-            sorted(result.queue_delay_by_tier.items()),
-            # Flow-engine counters (absent under snapshot pricing).
-            io_stats.get("events_rescheduled"),
-            io_stats.get("recomputes"),
-            io_stats.get("max_component"),
-        )
-        return seconds, fingerprint
+        return seconds, result.fingerprint()
 
 
 def main(argv=None) -> int:
@@ -184,6 +169,14 @@ def main(argv=None) -> int:
             "A": Revision("repro_a", args.workload),
             "B": Revision("repro_b", args.workload),
         }
+        for side, rev in (("A", args.rev_a), ("B", args.rev_b)):
+            if not hasattr(revisions[side].runner.RunResult, "fingerprint"):
+                print(
+                    f"{rev}: RunResult has no fingerprint(); "
+                    "revisions older than it cannot be compared",
+                    file=sys.stderr,
+                )
+                return 2
         ratios = []
         wins = 0
         for pair in range(args.pairs):
