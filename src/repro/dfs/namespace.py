@@ -200,15 +200,6 @@ class FSDirectory:
             raise InvalidPathError(f"not a file: {path!r}")
         return node
 
-    def get_directory(self, path: str) -> INodeDirectory:
-        """The directory at ``path``; raises if missing or a file."""
-        node = self.get(path)
-        if node is None:
-            raise InvalidPathError(f"no such directory: {path!r}")
-        if not isinstance(node, INodeDirectory):
-            raise InvalidPathError(f"not a directory: {path!r}")
-        return node
-
     def exists(self, path: str) -> bool:
         """True if a file or directory is at ``path``."""
         return self.get(path) is not None

@@ -169,37 +169,47 @@ class FileAccessModel:
             batch.extend(self._replay[int(i)] for i in picks)
         X = np.vstack([p.features for p in batch])
         y = np.array([p.label for p in batch])
-        if self.model.is_fitted:
-            self.model.fit_increment(X, y)
-        else:
-            if len(np.unique(y)) < 2:
-                # Can't bootstrap a classifier from a single class; wait.
-                self._batch = batch[: self.batch_size]
-                return
-            self.model.fit(X, y)
+        fitted = self.model.is_fitted
+        if not fitted and len(np.unique(y)) < 2:
+            # Can't bootstrap a classifier from a single class; wait.
+            self._batch = batch[: self.batch_size]
+            return
         self.trainings += 1
         for point in batch[: self.batch_size]:
             self._replay.append(point)
-        if self.model.needs_compaction:
-            self._compact()
+        # A batch fit that takes the ensemble past its cap would be
+        # thrown away by the compaction after it: compact instead.
+        cap = self.model.params.max_trees
+        grown = self.model.num_trees + self.model.params.num_rounds
+        if cap is not None and grown > cap and self._compact():
+            return
+        if fitted:
+            self.model.fit_increment(X, y)
+        else:
+            self.model.fit(X, y)
 
-    def _compact(self) -> None:
-        """Refit from scratch on the replay reservoir.
+    def _compact(self) -> bool:
+        """Refit from scratch on the replay reservoir; True if it refit.
 
         Bounds the ensemble size (prediction latency and the ~200KB
         memory footprint of Sec 7.7) without corrupting the additive
-        model the way dropping trees would.
+        model the way dropping trees would.  An empty or single-class
+        reservoir cannot be refit: the model is left as it is.  The
+        refit replaces every tree, so a batch whose fit would cross the
+        cap compacts instead of fitting (see
+        :meth:`_train_incremental_batch`).
         """
         if not self._replay:
-            return
+            return False
         X = np.vstack([p.features for p in self._replay])
         y = np.array([p.label for p in self._replay])
         if len(np.unique(y)) < 2:
-            return
+            return False
         # Twice the rounds of one batch: the reservoir holds much more
         # data than one batch.
         self.model.trees = []
         self.model.fit_increment(X, y, num_rounds=2 * self.model.params.num_rounds)
+        return True
 
     # -- explicit training (RETRAIN / ONESHOT modes) -----------------------------
     def train_now(self) -> bool:
@@ -225,6 +235,7 @@ class FileAccessModel:
     # -- prediction (Sec 4.4) ------------------------------------------------------
     @property
     def is_fitted(self) -> bool:
+        """True once the ensemble holds a tree."""
         return self.model.is_fitted
 
     @property

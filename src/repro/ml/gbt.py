@@ -9,11 +9,11 @@ Incremental learning (paper Sec 4.2) is supported through
 :meth:`GradientBoostedTrees.fit_increment`: new boosting rounds are
 trained on a fresh batch, using the existing ensemble's margin as the
 starting point — the standard "continue training from a model" mode of
-XGBoost.  ``max_trees`` only *reports* when the ensemble has outgrown the
-target size (``needs_compaction``); dropping trees from a boosted
-ensemble would corrupt it (later trees correct the margins of earlier
-ones), so the owning :class:`~repro.ml.access_model.FileAccessModel`
-compacts by refitting on its replay reservoir instead.
+XGBoost.  This class never trims the ensemble to ``max_trees``: dropping
+trees from a boosted ensemble would corrupt it (later trees correct the
+margins of earlier ones), so the owning
+:class:`~repro.ml.access_model.FileAccessModel` compacts by refitting on
+its replay reservoir instead.
 """
 
 from __future__ import annotations
@@ -114,12 +114,6 @@ class GradientBoostedTrees:
             self.trees.append(tree)
             margin = margin + self.params.learning_rate * leaves
         return self
-
-    @property
-    def needs_compaction(self) -> bool:
-        """True when the ensemble exceeds its target size (see module doc)."""
-        cap = self.params.max_trees
-        return cap is not None and len(self.trees) > cap
 
     # -- prediction -----------------------------------------------------------
     @property

@@ -13,11 +13,18 @@ features there are:
 
 * **Presort once per boosting call.**  :func:`presort` argsorts every
   feature column once (stable, NaN last); the rounds of one boosting
-  call share it, and each fit copies the order and hands each node an
-  ``(F, n)`` matrix holding the node's row ids in per-feature sorted
-  order.  A stable sort restricted to a subset is the stable sort of
-  that subset, so splitting the matrix with one boolean lookup per node
-  keeps every row exactly where a per-node argsort would put it.
+  call share it, and each node gets an ``(F, n)`` matrix holding the
+  node's row ids in per-feature sorted order.  A stable sort restricted
+  to a subset is the stable sort of that subset, so splitting a node's
+  matrix with one boolean lookup keeps every row of each child exactly
+  where a per-node argsort would put it.
+* **Column pruning.**  Only a column with two distinct present values
+  has a candidate boundary, and a subset of the rows cannot gain
+  distinct values.  So :func:`presort` keeps only the columns with a
+  candidate over all rows, and a node hands its children only the
+  columns that had a candidate in the node.  Gains are computed per
+  column and the kept columns stay in ascending order, so the pruned
+  search finds the same split with the same tie-break.
 * **One search per node, candidates only.**  A node takes prefix sums
   along the sorted axis and scores both default directions of just the
   real candidates, the (feature, boundary) cells between two distinct
@@ -106,19 +113,29 @@ def _score(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
 
 
 class Presorted(NamedTuple):
-    """A feature matrix sorted once, for any number of fits on it."""
+    """A feature matrix sorted once, for any number of fits on it.
 
-    #: Feature-major copy of ``X``: row f is feature f, C-contiguous.
+    Holds only the columns that can split: those with at least two
+    distinct present values (see the module doc).
+    """
+
+    #: Feature-major copy of the kept columns: row j is X column
+    #: ``features[j]``, C-contiguous.
     values: np.ndarray
-    #: Row ids sorted by each feature (stable, NaN last), one row per
-    #: feature.
+    #: Row ids sorted by each kept column (stable, NaN last).
     order: np.ndarray
+    #: The X column id of each kept column, ascending.
+    features: np.ndarray
 
 
 def presort(X: np.ndarray) -> Presorted:
-    """Sort every feature column of ``X`` once (see the module doc)."""
+    """Sort the splittable feature columns of ``X`` once (see the module doc)."""
     values = np.ascontiguousarray(X.T)
-    return Presorted(values, np.argsort(values, axis=1, kind="stable"))
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    # NaNs sort last, so ``>`` finds two distinct present values.
+    features = np.flatnonzero((ordered[:, 1:] > ordered[:, :-1]).any(axis=1))
+    return Presorted(values[features], order[features], features)
 
 
 class _Grower:
@@ -135,63 +152,63 @@ class _Grower:
         params: TreeParams,
         presorted: Presorted,
     ) -> None:
-        m, n_features = X.shape
+        m = len(X)
         self.params = params
         self.X = X
-        self.grad = grad
-        self.hess = hess
-        self.values_by_feature = presorted.values
         self.grad_hess = np.stack((grad, hess))
-        self.feature_ids = np.arange(n_features)
-        self.offsets = (self.feature_ids * m)[:, None]
-        # Every node owns a column range of the sorted row ids,
-        # partitioned in place when it splits: a private copy per fit.
-        self.order = presorted.order.copy()
+        self.values_by_feature = presorted.values
+        self.features = presorted.features
+        self.offsets = (np.arange(len(self.features)) * m)[:, None]
         self.goes_left = np.zeros(m, dtype=bool)
         self.leaf_values = np.empty(m)
         self.node_count = 0
 
-    def build(self, indices: np.ndarray, start: int, depth: int) -> _Node:
+    def build(
+        self, indices: np.ndarray, segment: np.ndarray, live: np.ndarray, depth: int
+    ) -> _Node:
         """Grow the subtree over ``indices`` (ascending row ids).
 
-        The same rows fill columns ``start:start + len(indices)`` of
-        ``order``, sorted once per feature.
+        Row ``j`` of ``segment`` holds the same rows sorted by kept column
+        ``live[j]``; ``live`` is ascending.
         """
         params = self.params
         node = _Node()
         self.node_count += 1
-        g_sum = float(self.grad[indices].sum())
-        h_sum = float(self.hess[indices].sum())
+        # Each row of a contiguous (2, n) take sums like a 1-D ``.sum()``.
+        g_sum, h_sum = self.grad_hess.take(indices, axis=1).sum(axis=1).tolist()
         node.value = _leaf_weight(g_sum, h_sum, params.reg_lambda)
-        segment = self.order[:, start : start + len(indices)]
         can_split = (
             depth < params.max_depth
             and len(indices) >= params.min_split_samples
             and h_sum >= 2.0 * params.min_child_weight * (1.0 - _PRUNE_SLACK)
         )
-        split = self._best_split(segment, g_sum, h_sum) if can_split else None
+        found = self._best_split(segment, live, g_sum, h_sum) if can_split else None
         children = None
-        if split is not None:
+        if found is not None:
+            split, searched = found
+            if len(searched) < len(live):
+                segment, live = segment[searched], live[searched]
             children = self._partition(indices, segment, split)
         if children is None:
             self.leaf_values[indices] = node.value
             return node
-        left_idx, right_idx = children
+        (left_idx, left_segment), (right_idx, right_segment) = children
         node.is_leaf = False
         node.feature = split.feature
         node.threshold = split.threshold
         node.default_left = split.default_left
-        node.left = self.build(left_idx, start, depth + 1)
-        node.right = self.build(right_idx, start + len(left_idx), depth + 1)
+        node.left = self.build(left_idx, left_segment, live, depth + 1)
+        node.right = self.build(right_idx, right_segment, live, depth + 1)
         return node
 
     def _partition(
         self, indices: np.ndarray, segment: np.ndarray, split: _SplitResult
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Route a node's rows; the children's row ids, or None if one is empty.
+    ) -> Optional[Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
+        """Route a node's rows: ``(row ids, segment)`` of each child, or
+        None if one child is empty.
 
-        Partitions ``segment`` in place: each feature's sorted run becomes
-        the left rows, then the right rows, each keeping its sorted order.
+        Each feature's sorted run of ``segment`` splits into the left
+        rows and the right rows, each keeping its sorted order.
         """
         values = self.X[indices, split.feature]
         missing = np.isnan(values)
@@ -207,28 +224,31 @@ class _Grower:
         self.goes_left[indices] = goes_left
         left_mask = self.goes_left[segment]
         n_features, n_left = len(segment), len(left_idx)
-        left_part = segment[left_mask].reshape(n_features, n_left)
-        segment[:, n_left:] = segment[~left_mask].reshape(n_features, -1)
-        segment[:, :n_left] = left_part
-        return left_idx, right_idx
+        return (
+            (left_idx, segment[left_mask].reshape(n_features, n_left)),
+            (right_idx, segment[~left_mask].reshape(n_features, -1)),
+        )
 
     def _best_split(
-        self, segment: np.ndarray, g_sum: float, h_sum: float
-    ) -> Optional[_SplitResult]:
-        """The best split of one node over every feature, or None.
+        self, segment: np.ndarray, live: np.ndarray, g_sum: float, h_sum: float
+    ) -> Optional[Tuple[_SplitResult, np.ndarray]]:
+        """The best split of one node over its live features, or None.
 
-        ``segment`` holds the node's rows sorted by each feature.  A best
-        gain that is not positive (or NaN) is no split either.
+        ``segment`` holds the node's rows sorted by each kept column in
+        ``live``.  Returns the split and the rows of ``segment`` that had
+        a candidate, the only ones a child can split on.  A best gain
+        that is not positive (or NaN) is no split either.
         """
         params = self.params
         lam = params.reg_lambda
         n = segment.shape[1]
-        values = self.values_by_feature.take(segment + self.offsets)
+        values = self.values_by_feature.take(segment + self.offsets[live])
         # Boundary p (1 <= p < present) sits at column p - 1: the left
         # child takes the first p present rows.  It is a candidate when
         # the values on both sides differ; NaNs sort last, so ``>`` also
         # rules out every column that reaches a missing value.
-        features, columns = np.nonzero(values[:, 1:] > values[:, :-1])
+        candidates = values[:, 1:] > values[:, :-1]
+        features, columns = np.nonzero(candidates)
         k = len(features)
         if k == 0:
             return None
@@ -243,7 +263,7 @@ class _Grower:
                 present_sums[:, feature] = stats[:, feature, :count].sum(axis=1)
         missing = (np.array([[g_sum], [h_sum]]) - present_sums)[:, features]
         cum = np.cumsum(stats, axis=2)
-        total = cum[:, self.feature_ids, np.maximum(present - 1, 0)][:, features]
+        total = cum[:, features, present[features] - 1]
         # (G, H) of both children of every candidate: axes are (statistic,
         # child, default direction, candidate), direction 0 sending the
         # missing rows left.
@@ -280,14 +300,15 @@ class _Grower:
             hit = int(hits[np.argmin(keys)])
         direction, rank = divmod(hit, k)
         feature, column = int(features[rank]), int(columns[rank])
-        return _SplitResult(
+        split = _SplitResult(
             gain=float(best),
-            feature=feature,
+            feature=int(self.features[live[feature]]),
             threshold=float(
                 0.5 * (values[feature, column] + values[feature, column + 1])
             ),
             default_left=direction == 0,
         )
+        return split, np.flatnonzero(candidates.any(axis=1))
 
 
 class RegressionTree:
@@ -337,7 +358,12 @@ class RegressionTree:
         # With ``reg_lambda`` 0, the gain of a child whose hessian sum is
         # 0 divides by zero before the ``min_child_weight`` test masks it.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self._root = grower.build(np.arange(len(X)), 0, depth=0)
+            self._root = grower.build(
+                np.arange(len(X)),
+                presorted.order,
+                np.arange(len(presorted.features)),
+                depth=0,
+            )
         self.node_count = grower.node_count
         return grower.leaf_values
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.units import MINUTES
-from repro.ml.access_model import FileAccessModel, LearningMode
+from repro.ml.access_model import FileAccessModel, LearningMode, TrainingPoint
 from repro.ml.features import build_feature_vector
 from repro.ml.gbt import GBTParams, GradientBoostedTrees
 from repro.ml.serialize import model_to_dict
@@ -168,6 +168,70 @@ class TestCompaction:
         assert np.array_equal(
             model.model.predict_margin(X), reference.predict_margin(X)
         )
+
+    @staticmethod
+    def feed_batch(model, rng, labels):
+        """One batch of random points with the given labels."""
+        for label in labels:
+            features = rng.integers(0, 6, 4) / 6.0
+            model.add_point(TrainingPoint(features, int(label), timestamp=0.0))
+
+    def test_compacting_batch_skips_its_batch_fit(self):
+        # Two batches grow 20 trees; the third would take the ensemble to
+        # 30, past the cap of 25, so it refits the reservoir instead, in
+        # its only ``fit_increment`` call.  Its replay picks are drawn all
+        # the same: the random stream matches an uncapped model's.
+        rng = np.random.default_rng(3)
+        batches = [rng.integers(0, 2, 16) for _ in range(3)]
+        models = {}
+        for cap in (25, None):
+            models[cap] = FileAccessModel(
+                window=1800.0,
+                gbt_params=GBTParams(num_rounds=10, max_depth=4, max_trees=cap),
+                batch_size=16,
+            )
+            points = np.random.default_rng(4)
+            for labels in batches[:2]:
+                self.feed_batch(models[cap], points, labels)
+            assert models[cap].model.num_trees == 20
+            calls = []
+            fit_increment = models[cap].model.fit_increment
+
+            def spy(X, y, num_rounds=None):
+                calls.append(num_rounds)
+                return fit_increment(X, y, num_rounds)
+
+            models[cap].model.fit_increment = spy
+            self.feed_batch(models[cap], points, batches[2])
+            assert calls == ([20] if cap else [None])
+        model = models[25]
+        assert model.trainings == 3
+        X = np.vstack([p.features for p in model._replay])
+        y = np.array([p.label for p in model._replay])
+        reference = GradientBoostedTrees(model.model.params).fit_increment(
+            X, y, num_rounds=20
+        )
+        assert model_to_dict(model.model) == model_to_dict(reference)
+        state = model._rng.bit_generator.state
+        assert state == models[None]._rng.bit_generator.state
+
+    def test_single_class_reservoir_grows_past_the_cap(self):
+        # The reservoir holds only the newest batch; once that batch is a
+        # single class the compaction cannot refit, and the batch fit
+        # goes ahead as if there were no cap.
+        model = FileAccessModel(
+            window=1800.0,
+            gbt_params=GBTParams(num_rounds=3, max_depth=3, max_trees=5),
+            batch_size=8,
+            replay_size=8,
+        )
+        rng = np.random.default_rng(6)
+        self.feed_batch(model, rng, [0, 1] * 4)
+        assert model.model.num_trees == 3
+        self.feed_batch(model, rng, [0] * 8)
+        self.feed_batch(model, rng, [0] * 8)
+        assert model.model.num_trees == 9
+        assert model.trainings == 3
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

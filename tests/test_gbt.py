@@ -83,14 +83,6 @@ class TestIncremental:
         assert model.is_fitted
         assert model.num_trees == 4
 
-    def test_needs_compaction_flag(self):
-        X, y = make_problem(n=200)
-        model = GradientBoostedTrees(GBTParams(num_rounds=4, max_depth=2, max_trees=6))
-        model.fit(X, y)
-        assert not model.needs_compaction
-        model.fit_increment(X, y)
-        assert model.needs_compaction
-
 
 class TestPredictApi:
     def test_predict_one_matches_batch(self):

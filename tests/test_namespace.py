@@ -42,7 +42,7 @@ class TestFSDirectory:
         fs = FSDirectory()
         file = fs.create_file("/data/x/file.bin", creation_time=1.0, size=10)
         assert file.path == "/data/x/file.bin"
-        assert fs.get_directory("/data/x").is_directory
+        assert fs.get("/data/x").is_directory
         assert fs.get_file("/data/x/file.bin").size == 10
 
     def test_duplicate_create_rejected(self):
@@ -73,9 +73,6 @@ class TestFSDirectory:
         fs.mkdirs("/d")
         with pytest.raises(InvalidPathError):
             fs.get_file("/d")
-        fs.create_file("/f", creation_time=0.0)
-        with pytest.raises(InvalidPathError):
-            fs.get_directory("/f")
 
     def test_delete_file(self):
         fs = FSDirectory()

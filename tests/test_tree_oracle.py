@@ -275,6 +275,80 @@ def test_equal_gains_order_feature_before_direction():
     assert _root_split(X, grad, hess, params) == (0, False, 3.5)
 
 
+# -- column pruning ---------------------------------------------------------------
+
+
+def _features_used(node):
+    """The features of every split under ``node``."""
+    if node.is_leaf:
+        return set()
+    return {node.feature} | _features_used(node.left) | _features_used(node.right)
+
+
+@pytest.mark.parametrize("filler", [0.5, np.nan])
+def test_column_pruned_inside_one_subtree(filler):
+    # The root splits on feature 0, which is constant in the left subtree;
+    # feature 1 is constant (or all missing) in the right one.  Each
+    # subtree drops the column it cannot split on, and still splits on
+    # the others.
+    rng = np.random.default_rng(5)
+    m = 120
+    left = np.arange(m) < m // 2
+    X = rng.integers(1, 9, (m, 3)) / 8
+    X[left, 0] = 0.0
+    X[~left, 1] = filler
+    grad = np.where(left, 3.0, -3.0) + rng.standard_normal(m)
+    hess = np.full(m, 0.25)
+    # Without ``reg_lambda`` every split of rows with unequal mean
+    # gradients gains, so both subtrees grow.
+    params = TreeParams(max_depth=20, reg_lambda=0.0, min_child_weight=0.0)
+    assert_same_tree(X, grad, hess, params)
+    root = RegressionTree(params).fit(X, grad, hess)._root
+    assert (root.feature, root.threshold) == (0, 0.0625)
+    assert _features_used(root.left) == {1, 2}
+    assert _features_used(root.right) == {0, 2}
+
+
+@pytest.mark.parametrize("filler", [0.25, np.nan])
+def test_equal_gains_across_an_unsplittable_column(filler):
+    # The same column at X ids 1 and 3, an unsplittable column between
+    # them and an all-missing one before: the tie goes to X id 1.
+    column = np.arange(8.0)
+    X = np.column_stack((np.full(8, np.nan), column, np.full(8, filler), column))
+    grad = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+    hess = np.full(8, 0.25)
+    params = TreeParams(max_depth=1, min_child_weight=0.5)
+    assert _root_split(X, grad, hess, params) == (1, True, 1.5)
+
+
+def _shift_features(node, shift):
+    if "leaf" not in node:
+        node["feature"] += shift
+        _shift_features(node["left"], shift)
+        _shift_features(node["right"], shift)
+
+
+def test_leading_all_nan_columns_keep_x_column_ids():
+    X, grad, hess = make_problem(17, 300, 4, [0.0, 0.3], 10)
+    padded = np.column_stack((np.full((300, 2), np.nan), X))
+    params = TreeParams(max_depth=20, min_child_weight=0.0)
+    assert_same_tree(padded, grad, hess, params)
+    tree = RegressionTree(params).fit(padded, grad, hess)
+    usage = tree.feature_usage()
+    assert usage[:2] == [0, 0]
+    assert usage[2:] == RegressionTree(params).fit(X, grad, hess).feature_usage()
+
+    y = (grad < 0).astype(int)
+    gbt_params = GBTParams(num_rounds=4, max_depth=20)
+    model = GradientBoostedTrees(gbt_params).fit(padded, y)
+    expected = model_to_dict(GradientBoostedTrees(gbt_params).fit(X, y))
+    for tree_dict in expected["trees"]:
+        tree_dict["n_features"] += 2
+        _shift_features(tree_dict["root"], 2)
+    assert model_to_dict(model) == expected
+    assert model.feature_usage()[:2] == [0, 0]
+
+
 # -- prediction agreement ---------------------------------------------------------
 
 

@@ -11,8 +11,11 @@ A pair replays the same inputs on both revisions.  Only
 ``WorkloadRunner.run()`` is timed; building the input and the runner is
 not.  Every input's outcome fingerprint (``RunResult.fingerprint()``)
 must be identical between the revisions, or the tool stops: a speedup
-that moves a simulated value is not a speedup.  A revision whose
-``RunResult`` has no ``fingerprint()`` is refused with exit status 2.
+that moves a simulated value is not a speedup.  Under the XGB policies
+the two final access models (``model_to_dict``) must hash the same too,
+so a learner change that alters one tree stops the tool even when the
+run's outcome matches.  A revision whose ``RunResult`` has no
+``fingerprint()`` is refused with exit status 2.
 
 Workloads (a run replays three inputs; input ``i`` of seed ``s`` uses
 seed ``s + 1000 i``, which is also the system seed):
@@ -38,8 +41,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import hashlib
 import importlib
 import io
+import json
 import re
 import shutil
 import statistics
@@ -110,6 +115,7 @@ class Revision:
         self.scenario, self.scale, self.hours, self.io_model, policies = spec
         self.downgrade, self.upgrade = policies
         self.runner = importlib.import_module(f"{package}.engine.runner")
+        self.serialize = importlib.import_module(f"{package}.ml.serialize")
 
     def build(self, seed: int):
         """A fresh runner for input ``seed`` (not timed)."""
@@ -139,13 +145,23 @@ class Revision:
         return self.runner.WorkloadRunner(workload, config)
 
     def run(self, seed: int):
-        """``(run() seconds, outcome fingerprint)`` for input ``seed``."""
+        """``(run() seconds, outcome fingerprint, models hash)`` for input
+        ``seed``; the hash is None unless the policies are XGB."""
         runner = self.build(seed)
         gc.collect()
         start = time.perf_counter()
         result = runner.run()
         seconds = time.perf_counter() - start
-        return seconds, result.fingerprint()
+        models = None
+        if (self.downgrade, self.upgrade) == XGB:
+            trainer = runner.manager.trainer
+            payload = [
+                self.serialize.model_to_dict(access.model)
+                for access in (trainer.downgrade_model, trainer.upgrade_model)
+            ]
+            text = json.dumps(payload, sort_keys=True)
+            models = hashlib.sha256(text.encode()).hexdigest()
+        return seconds, result.fingerprint(), models
 
 
 def main(argv=None) -> int:
@@ -183,15 +199,18 @@ def main(argv=None) -> int:
             order = "AB" if pair % 2 == 0 else "BA"
             seconds = {}
             fingerprints = {}
+            models = {}
             for side in order:
                 runs = [revisions[side].run(seed) for seed in seeds]
-                seconds[side] = sum(s for s, _ in runs)
-                fingerprints[side] = [f for _, f in runs]
-            if fingerprints["A"] != fingerprints["B"]:
-                print(f"pair {pair}: fingerprints differ", file=sys.stderr)
-                print(f"  A: {fingerprints['A']}", file=sys.stderr)
-                print(f"  B: {fingerprints['B']}", file=sys.stderr)
-                return 1
+                seconds[side] = sum(s for s, _, _ in runs)
+                fingerprints[side] = [f for _, f, _ in runs]
+                models[side] = [m for _, _, m in runs]
+            for what, outcomes in (("fingerprints", fingerprints), ("models", models)):
+                if outcomes["A"] != outcomes["B"]:
+                    print(f"pair {pair}: {what} differ", file=sys.stderr)
+                    print(f"  A: {outcomes['A']}", file=sys.stderr)
+                    print(f"  B: {outcomes['B']}", file=sys.stderr)
+                    return 1
             ratio = seconds["B"] / seconds["A"]
             ratios.append(ratio)
             wins += ratio < 1.0
@@ -201,9 +220,10 @@ def main(argv=None) -> int:
                 flush=True,
             )
     median = statistics.median(ratios)
+    same = "fingerprints and models" if args.workload == "xgb" else "fingerprints"
     print(
         f"{args.workload}: median B/A {median:.3f} ({(median - 1) * 100:+.1f}%), "
-        f"B won {wins}/{args.pairs} pairs; fingerprints identical"
+        f"B won {wins}/{args.pairs} pairs; {same} identical"
     )
     return 0
 
