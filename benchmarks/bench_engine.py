@@ -88,7 +88,6 @@ ROW_KEYS = (
     "heap_compactions",
     "max_heap_size",
     "live_pending_at_end",
-    "ticks_skipped",
     "jobs_finished",
     "hit_ratio",
     "byte_hit_ratio",

@@ -78,16 +78,6 @@ class ReplicationManager(FileSystemListener):
         # replicas instead of moving the existing ones.
         self.cache_mode = self.conf.get_bool("manager.cache_mode", False)
         self._downgrading: Set[TierSpec] = set()
-        # Coarsened ticks (fast engine mode): a proactive tick may be
-        # skipped when it is provably a no-op — see _can_skip_tick.
-        self._coarse_ticks = self.conf.get_bool("manager.coarse_ticks", False)
-        self._tick_replica_version = -1
-        self._tick_was_inert = False
-        #: Downgrade rounds whose start condition held (diagnostics and
-        #: the coarse-tick inertness check).
-        self.downgrade_rounds_entered = 0
-        #: Proactive ticks skipped by the coarse-tick fast path.
-        self.ticks_skipped = 0
         self._proactive_timer: Optional[PeriodicTimer] = None
         interval = self.conf.get_duration("manager.proactive_interval", 60.0)
         if interval > 0:
@@ -98,14 +88,18 @@ class ReplicationManager(FileSystemListener):
 
     # -- wiring -------------------------------------------------------------
     def set_downgrade_policy(self, policy: Optional[DowngradePolicy]) -> None:
+        """Install the downgrade policy (``None`` disables downgrades) and
+        let it see utilization net of the monitor's pending reservations."""
         self.downgrade_policy = policy
         if policy is not None:
             policy.effective_utilization = self.monitor.effective_utilization
 
     def set_upgrade_policy(self, policy: Optional[UpgradePolicy]) -> None:
+        """Install the upgrade policy (``None`` disables upgrades)."""
         self.upgrade_policy = policy
 
     def set_trainer(self, trainer: Optional[AccessModelTrainer]) -> None:
+        """Install the access-model trainer fed by every file access."""
         self.trainer = trainer
 
     def _in_flight_union(self) -> Set[int]:
@@ -131,6 +125,7 @@ class ReplicationManager(FileSystemListener):
 
     # -- FileSystemListener ----------------------------------------------------
     def on_file_created(self, file: INodeFile) -> None:
+        """Register ``file`` with the statistics, weight trackers and policies."""
         self.stats.on_create(file)
         now = self.sim.now()
         for tracker in (self.lrfu_weights, self.exd_weights):
@@ -140,6 +135,8 @@ class ReplicationManager(FileSystemListener):
             policy.on_file_created(file)
 
     def on_file_accessed(self, file: INodeFile) -> None:
+        """Record the access everywhere, then run an upgrade round
+        triggered by it (Algorithm 2)."""
         now = self.sim.now()
         self.stats.on_access(file, now, tier_level=self._tier_level_for_stats(file))
         for tracker in (self.lrfu_weights, self.exd_weights):
@@ -152,10 +149,12 @@ class ReplicationManager(FileSystemListener):
         self.run_upgrade(file)
 
     def on_file_modified(self, file: INodeFile) -> None:
+        """Forward the modification to the policies."""
         for policy in self._policies():
             policy.on_file_modified(file)
 
     def on_file_deleted(self, file: INodeFile) -> None:
+        """Drop ``file`` from the statistics, weight trackers and policies."""
         self.stats.on_delete(file)
         for tracker in (self.lrfu_weights, self.exd_weights):
             if tracker is not None:
@@ -164,6 +163,7 @@ class ReplicationManager(FileSystemListener):
             policy.on_file_deleted(file)
 
     def on_data_added(self, tier: TierSpec) -> None:
+        """Run a downgrade round for ``tier`` (Algorithm 1), which just gained data."""
         self.run_downgrade(tier)
 
     # -- Algorithm 1: the downgrade loop ------------------------------------------
@@ -177,7 +177,6 @@ class ReplicationManager(FileSystemListener):
         try:
             if not policy.start_downgrade(tier):
                 return 0
-            self.downgrade_rounds_entered += 1
             self._temp_excluded.clear()
             for _ in range(self.max_downgrades_per_run):
                 file = policy.select_file_to_downgrade(tier)
@@ -249,59 +248,25 @@ class ReplicationManager(FileSystemListener):
                 break
         return scheduled_files
 
-    def _can_skip_tick(self) -> bool:
-        """True when this proactive tick is provably a no-op.
-
-        A tick only acts through (a) the proactive upgrade pass and (b)
-        the downgrade safety net, whose start condition depends solely
-        on tier utilization (device allocations plus the monitor's
-        pending reservations).  So the tick cannot do anything new when:
-
-        * the upgrade policy is absent or not proactive (pass (a) is a
-          structural no-op),
-        * no replica was added or released since the last executed tick
-          (``BlockManager.replica_mutations`` unchanged) and no transfer
-          is in flight (no reservations, and none can complete),
-        * and the last executed tick itself was inert — it entered no
-          downgrade round — so replaying it against identical state
-          would be inert again.
-
-        Time-dependent policy internals (e.g. XGB scoring) only run
-        *inside* an entered round, which the inertness condition rules
-        out; hence skipping never consults — and never diverges — them.
-        """
-        policy = self.upgrade_policy
-        if policy is not None and policy.proactive:
-            return False
-        if self.downgrade_policy is None:
-            return True
-        return (
-            self._tick_was_inert
-            and self.monitor.pending_transfers == 0
-            and self.master.blocks.replica_mutations == self._tick_replica_version
-        )
-
     def _proactive_tick(self) -> None:
-        if self._coarse_ticks and self._can_skip_tick():
-            self.ticks_skipped += 1
-            return
-        entered_before = self.downgrade_rounds_entered
         self.run_upgrade(None)
         # Safety net: tiers can cross the threshold through transfers that
         # fire no on_data_added for this tier (e.g. pending reservations).
         for tier in self.master.hierarchy:
             self.run_downgrade(tier)
-        self._tick_was_inert = self.downgrade_rounds_entered == entered_before
-        self._tick_replica_version = self.master.blocks.replica_mutations
 
     # -- shared tracker helpers (used by the registry) -----------------------------
     def ensure_lrfu_weights(self) -> LrfuWeights:
+        """The shared LRFU weight tracker, built on first use from
+        ``lrfu.half_life``."""
         if self.lrfu_weights is None:
             half_life = self.conf.get_duration("lrfu.half_life", 6 * 3600.0)
             self.lrfu_weights = LrfuWeights(half_life=half_life)
         return self.lrfu_weights
 
     def ensure_exd_weights(self) -> ExdWeights:
+        """The shared EXD weight tracker, built on first use from
+        ``exd.alpha``."""
         if self.exd_weights is None:
             alpha = self.conf.get_float("exd.alpha", 1.16e-5)
             self.exd_weights = ExdWeights(alpha=alpha)

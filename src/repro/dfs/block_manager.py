@@ -37,10 +37,6 @@ class BlockManager:
         self._file_tier_blocks: Dict[int, Dict[TierSpec, int]] = {}
         # block_id -> tier -> replica count (drives the coverage index)
         self._block_tier_replicas: Dict[int, Dict[TierSpec, int]] = {}
-        #: Monotone version counter: bumped on every replica add or
-        #: release.  Consumers (the coarse-tick fast path) use it to
-        #: prove "no capacity-relevant state changed since X".
-        self.replica_mutations = 0
         # (node_id, tier, device_id) -> device, for O(1) lookups; filled
         # from the topology on first use and again for nodes added later.
         self._devices: Dict[Tuple[str, TierSpec, str], StorageDevice] = {}
@@ -110,7 +106,6 @@ class BlockManager:
     # -- incremental index maintenance -----------------------------------------
     def _index_add(self, replica: ReplicaInfo) -> None:
         """Charge ``replica`` to the byte and block-coverage indexes."""
-        self.replica_mutations += 1
         block = replica.block
         tier = replica.tier
         per_tier = self._block_tier_replicas.setdefault(block.block_id, {})
@@ -124,7 +119,6 @@ class BlockManager:
 
     def _index_remove(self, replica: ReplicaInfo) -> None:
         """Release ``replica`` from the byte and block-coverage indexes."""
-        self.replica_mutations += 1
         block = replica.block
         tier = replica.tier
         per_tier = self._block_tier_replicas[block.block_id]

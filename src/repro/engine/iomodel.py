@@ -112,9 +112,6 @@ class IoModel:
             if sim is None:
                 raise ValueError("fairshare pricing needs the simulator")
             self.engine = FairShareEngine(sim)
-            self.engine.vector_threshold = conf.get_int(
-                "io.vector_threshold", FairShareEngine.vector_threshold
-            )
             endpoint_bw = conf.get_float(
                 "io.remote_endpoint_bandwidth", DEFAULT_REMOTE_ENDPOINT_BANDWIDTH
             )

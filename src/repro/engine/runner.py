@@ -113,9 +113,8 @@ class SystemConfig:
     preset: Optional[str] = "auto"
     #: Simulation core selection: "reference" (default) runs the classic
     #: object-per-event loop, kept bit-identical for reproduction;
-    #: "fast" swaps in the slab-allocated core (repro.sim.fastsim) and
-    #: coarsens provably idle proactive ticks.  Fast mode is validated
-    #: to produce identical simulated metrics — see
+    #: "fast" swaps in the slab-allocated core (repro.sim.fastsim).  Fast
+    #: mode is validated to produce identical simulated metrics — see
     #: docs/benchmarks.md ("Engine modes").
     engine_mode: str = "reference"
 
@@ -143,7 +142,7 @@ class SystemConfig:
         return get_preset(self.preset)
 
     def effective_conf(self) -> Dict[str, Any]:
-        """The configuration dict with preset and mode-implied keys folded in."""
+        """The configuration dict with preset and cache-mode keys folded in."""
         preset = self.resolve_preset()
         conf = dict(preset.conf) if preset is not None else {}
         conf.update(self.conf)
@@ -155,11 +154,6 @@ class SystemConfig:
                 f"unknown engine_mode {self.engine_mode!r} "
                 "(expected 'reference' or 'fast')"
             )
-        conf.setdefault("engine.mode", self.engine_mode)
-        if conf["engine.mode"] == "fast":
-            # Fast-mode default (overridable): skip provably idle
-            # proactive ticks.
-            conf.setdefault("manager.coarse_ticks", True)
         return conf
 
 
@@ -318,8 +312,7 @@ class WorkloadRunner:
         self._stream_exhausted = False
         self.config = config
         self.conf = Configuration(config.effective_conf())
-        self.engine_mode = self.conf.get("engine.mode", "reference")
-        if self.engine_mode == "fast":
+        if config.engine_mode == "fast":
             from repro.sim.fastsim import FastSimulator
 
             self.sim: Simulator = FastSimulator()

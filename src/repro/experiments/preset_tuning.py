@@ -19,11 +19,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.presets import PRESETS, preset_for_scenario
 from repro.engine.runner import RunResult, SystemConfig, WorkloadRunner
 from repro.experiments.common import format_table, run_labelled_cells
+from repro.experiments.scenarios import _scenario_scale
 from repro.workload.scenarios import build_scenario
-
-#: Replay scale per scenario kind (mirrors the ``scenarios`` sweep).
-CLASSIC_SCALE = 0.15
-GENERATED_SCALE = 0.3
 
 
 @dataclass
@@ -45,11 +42,6 @@ class PresetDelta:
             self.preset.metrics.total_task_seconds()
             - self.default.metrics.total_task_seconds()
         ) / 3600.0
-
-
-def _scenario_scale(name: str, scale: float) -> float:
-    base = CLASSIC_SCALE if name in ("fb", "cmu") else GENERATED_SCALE
-    return base * scale
 
 
 def _run_once(

@@ -192,9 +192,6 @@ def run_cell(cell: Mapping[str, Any]) -> Dict[str, Any]:
         "heap_compactions": sim.heap_compactions,
         "max_heap_size": sim.max_heap_size,
         "live_pending_at_end": sim.pending,
-        "ticks_skipped": (
-            runner.manager.ticks_skipped if runner.manager is not None else 0
-        ),
         "pump_lead_mean_seconds": round(result.pump_lead_mean_seconds, 3),
         "pump_lead_max_seconds": round(result.pump_lead_max_seconds, 3),
         "pump_late_events": result.pump_late_events,

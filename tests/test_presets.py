@@ -52,11 +52,10 @@ class TestRegistry:
 
 class TestSystemConfigWiring:
     def test_no_scenario_resolves_no_preset(self):
-        # Every pre-preset configuration: auto + no scenario = no-op
-        # (the engine mode is always folded in).
+        # Every pre-preset configuration: auto + no scenario = no-op.
         config = SystemConfig(label="x")
         assert config.resolve_preset() is None
-        assert config.effective_conf() == {"engine.mode": "reference"}
+        assert config.effective_conf() == {}
 
     def test_auto_selects_scenario_preset(self):
         config = SystemConfig(label="x", scenario="flashcrowd")
@@ -72,7 +71,7 @@ class TestSystemConfigWiring:
         for off in (None, "none"):
             config = SystemConfig(label="x", scenario="flashcrowd", preset=off)
             assert config.resolve_preset() is None
-            assert config.effective_conf() == {"engine.mode": "reference"}
+            assert config.effective_conf() == {}
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown preset"):
