@@ -25,9 +25,7 @@ def build(cache_mode: bool):
     topology = build_local_cluster(num_workers=4, memory_per_node=1 * GB)
     nm = NodeManager(topology)
     if cache_mode:
-        conf = Configuration(
-            {"manager.cache_mode": True, "downgrade.action": "delete"}
-        )
+        conf = Configuration({"manager.cache_mode": True, "downgrade.action": "delete"})
         master = Master(topology, HdfsPlacementPolicy(topology, nm, conf), sim, conf)
         manager = ReplicationManager(master, sim, conf)
         configure_policies(manager, downgrade="lru", upgrade="osa")
@@ -79,8 +77,10 @@ def main() -> None:
         f"evicted {format_bytes(manager.monitor.bytes_deleted[memory])}"
     )
     if auto_hr > static_hr:
-        print("-> the automated cache keeps serving the live working set "
-              "after the static cache has flatlined")
+        print(
+            "-> the automated cache keeps serving the live working set "
+            "after the static cache has flatlined"
+        )
 
 
 if __name__ == "__main__":

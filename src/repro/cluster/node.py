@@ -76,7 +76,7 @@ class Node:
         self.hierarchy: TierHierarchy = tier_specs[0].tier.hierarchy
         #: Devices per tier, pre-seeded with every tier of the hierarchy
         #: (empty list = tier not provisioned).  Read-only outside this
-        #: class; placement's candidate-row builder reads it directly.
+        #: class; the placement candidate index reads it directly.
         self.tier_devices: Dict[TierSpec, List[StorageDevice]] = {
             tier: [] for tier in self.hierarchy
         }

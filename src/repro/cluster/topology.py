@@ -7,7 +7,7 @@ against fault tolerance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.hardware import DEFAULT_HIERARCHY, TierHierarchy, TierSpec
 from repro.cluster.node import Node
@@ -55,6 +55,8 @@ class ClusterTopology:
         # sum over all nodes the queries below used to compute.
         self._tier_capacity: Dict[TierSpec, int] = {}
         self._tier_used: Dict[TierSpec, int] = {}
+        # Callbacks told of every device allocate/release (see watch_usage).
+        self._usage_watchers: List[Callable] = []
 
     @property
     def hierarchy(self) -> TierHierarchy:
@@ -91,6 +93,16 @@ class ClusterTopology:
     def _on_device_usage(self, device, delta: int) -> None:
         """Fold one device's allocate/release into the tier aggregate."""
         self._tier_used[device.tier] += delta
+        for watcher in self._usage_watchers:
+            watcher(device)
+
+    def watch_usage(self, watcher: Callable) -> None:
+        """Call ``watcher(device)`` after every allocate/release on any device.
+
+        Each device's single ``usage_listener`` slot stays the
+        topology's; this fans its events out.
+        """
+        self._usage_watchers.append(watcher)
 
     # -- lookups ---------------------------------------------------------------
     @property

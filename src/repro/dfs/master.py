@@ -244,9 +244,7 @@ class Master:
             record_read(read.replica.node_id, read.replica.tier, block.size)
         return plan
 
-    def choose_replica(
-        self, block: BlockInfo, reader_node: Optional[str]
-    ) -> BlockRead:
+    def choose_replica(self, block: BlockInfo, reader_node: Optional[str]) -> BlockRead:
         """Pick the replica a reader on ``reader_node`` should use.
 
         HDFS semantics: network distance first (local replicas beat
@@ -322,16 +320,12 @@ class Master:
                 block_size, file.replication, writer_node
             )
             if not targets:
-                raise InsufficientSpaceError(
-                    f"no space appending block to {path!r}"
-                )
+                raise InsufficientSpaceError(f"no space appending block to {path!r}")
             for target in targets:
                 self.blocks.add_replica(
                     block, target.node_id, target.tier, target.device_id
                 )
-                self.node_manager.record_write(
-                    target.node_id, target.tier, block_size
-                )
+                self.node_manager.record_write(target.node_id, target.tier, block_size)
                 tiers_touched.add(target.tier)
         file.size += additional_bytes
         file.modification_time = self.clock.now()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict, List
 
 from repro.cluster.hardware import TierSpec
 from repro.cluster.topology import ClusterTopology
@@ -21,12 +21,8 @@ class NodeStats:
     """Running I/O counters for one node."""
 
     # Lazily keyed by TierSpec so one NodeStats works for any hierarchy.
-    bytes_read: Dict[TierSpec, int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
-    bytes_written: Dict[TierSpec, int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
+    bytes_read: Dict[TierSpec, int] = field(default_factory=lambda: defaultdict(int))
+    bytes_written: Dict[TierSpec, int] = field(default_factory=lambda: defaultdict(int))
     active_transfers: int = 0
     total_transfers: int = 0
 
@@ -39,6 +35,7 @@ class NodeManager:
         self._stats: Dict[str, NodeStats] = {
             node.node_id: NodeStats() for node in topology.nodes
         }
+        self._load_watchers: List[Callable[[str], None]] = []
 
     @property
     def topology(self) -> ClusterTopology:
@@ -48,6 +45,10 @@ class NodeManager:
     def stats(self, node_id: str) -> NodeStats:
         """The live counters of ``node_id``."""
         return self._stats[node_id]
+
+    def watch_load(self, watcher: Callable[[str], None]) -> None:
+        """Call ``watcher(node_id)`` whenever :meth:`load_score` of a node changes."""
+        self._load_watchers.append(watcher)
 
     # -- recording --------------------------------------------------------
     def record_read(self, node_id: str, tier: TierSpec, num_bytes: int) -> None:
@@ -64,6 +65,8 @@ class NodeManager:
         stats = self._stats[node_id]
         stats.active_transfers += 1
         stats.total_transfers += 1
+        for watcher in self._load_watchers:
+            watcher(node_id)
 
     def transfer_finished(self, node_id: str) -> None:
         """Count one in-flight transfer on ``node_id`` as done."""
@@ -71,6 +74,8 @@ class NodeManager:
         if stats.active_transfers <= 0:
             raise ValueError(f"transfer count underflow on {node_id}")
         stats.active_transfers -= 1
+        for watcher in self._load_watchers:
+            watcher(node_id)
 
     # -- load scoring -------------------------------------------------------
     def load_score(self, node_id: str) -> float:

@@ -21,10 +21,11 @@ same multi-objective scoring restricted to the requested tiers.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.cluster.hardware import TierSpec
+from repro.cluster.hardware import StorageDevice, TierSpec
 from repro.cluster.node import Node
 from repro.cluster.topology import ClusterTopology
 from repro.common.config import Configuration
@@ -210,6 +211,7 @@ class HdfsPlacementPolicy(PlacementPolicy):
 
     @property
     def base_tier(self) -> TierSpec:
+        """The tier every replica goes to: the lowest node-local one."""
         return self.hierarchy.lowest_local
 
     def place_block(
@@ -218,6 +220,7 @@ class HdfsPlacementPolicy(PlacementPolicy):
         replication: int,
         writer_node: Optional[str] = None,
     ) -> List[PlacementTarget]:
+        """Base-tier replicas on distinct nodes: writer first, then rack-aware."""
         targets: List[PlacementTarget] = []
         used_nodes: Set[str] = set()
         used_racks: List[str] = []
@@ -228,9 +231,7 @@ class HdfsPlacementPolicy(PlacementPolicy):
                 break
             device = node.best_device_for(base, size)
             assert device is not None  # _pick_node guarantees space
-            targets.append(
-                PlacementTarget(node.node_id, base, device.device_id)
-            )
+            targets.append(PlacementTarget(node.node_id, base, device.device_id))
             used_nodes.add(node.node_id)
             used_racks.append(node.rack)
         return targets
@@ -285,6 +286,7 @@ class HdfsCachePlacementPolicy(HdfsPlacementPolicy):
         replication: int,
         writer_node: Optional[str] = None,
     ) -> List[PlacementTarget]:
+        """The HDFS replicas plus one copy on the highest tier of a target."""
         targets = super().place_block(size, replication, writer_node)
         cache_tier = self.hierarchy.highest
         for target in targets:
@@ -321,6 +323,7 @@ class SingleTierPlacementPolicy(PlacementPolicy):
         replication: int,
         writer_node: Optional[str] = None,
     ) -> List[PlacementTarget]:
+        """Each replica on the least-utilized distinct node with room on the tier."""
         targets: List[PlacementTarget] = []
         used_nodes: Set[str] = set()
         for _ in range(replication):
@@ -341,9 +344,6 @@ class SingleTierPlacementPolicy(PlacementPolicy):
             targets.append(PlacementTarget(node.node_id, self.tier, device.device_id))
             used_nodes.add(node.node_id)
         return targets
-
-
-
 
 
 class OctopusPlacementPolicy(PlacementPolicy):
@@ -385,10 +385,9 @@ class OctopusPlacementPolicy(PlacementPolicy):
         self.w_throughput = conf.get_float("placement.weight.throughput", 1.0)
         self.w_data_balance = conf.get_float("placement.weight.data_balance", 0.4)
         self.w_load_balance = conf.get_float("placement.weight.load_balance", 0.3)
-        self.w_fault_tolerance = conf.get_float(
-            "placement.weight.fault_tolerance", 0.6
-        )
+        self.w_fault_tolerance = conf.get_float("placement.weight.fault_tolerance", 0.6)
         self.w_locality = conf.get_float("placement.weight.locality", 0.2)
+        self._index = _CandidateIndex(self)
 
     # -- scoring ----------------------------------------------------------
     def _score(
@@ -402,9 +401,10 @@ class OctopusPlacementPolicy(PlacementPolicy):
     ) -> Optional[float]:
         """Score one candidate: the reference arithmetic.
 
-        Placement itself scores through :meth:`_candidate_rows` and
-        :meth:`_pick`, which split this sum into a per-block prefix and
-        a per-replica tail; trace records and tests use this form.
+        Placement itself scores through :class:`_CandidateIndex`, which
+        splits this sum into a cached per-cell prefix (throughput, data
+        balance, load balance) and a per-replica tail (fault tolerance,
+        locality); trace records and tests use this form.
         """
         device = node.best_device_for(tier, size)
         if device is None:
@@ -428,110 +428,6 @@ class OctopusPlacementPolicy(PlacementPolicy):
             + self.w_locality * locality
         )
 
-    def _candidate_rows(
-        self,
-        size: int,
-        tiers: Sequence[TierSpec],
-        excluded_nodes: Set[str],
-    ) -> List[tuple]:
-        """The (node, tier) candidates for one block of ``size`` bytes.
-
-        One ``(node_id, rack, cells)`` row per live, non-excluded node
-        with a fitting device, where ``cells`` holds a ``(tier, device,
-        prefix)`` entry per tier in ``tiers`` that has one.  ``device``
-        is :meth:`Node.best_device_for`'s choice (the emptiest fitting
-        device, the first one on ties), made inline with its ``used /
-        capacity`` kept for the data-balance term.  ``prefix`` is the
-        replica-independent head of :meth:`_score`'s left-to-right sum,
-        ``(throughput + data balance) + load balance``, with the same
-        products.  Nothing a row depends on changes while one block's
-        replicas are chosen, so :meth:`place_block` builds the rows once
-        per block.
-        """
-        rows = []
-        w_data = self.w_data_balance
-        w_load = self.w_load_balance
-        load_scores = self.node_manager.load_score
-        tier_terms = [
-            (tier, self.w_throughput * self.tier_scores.get(tier, 0.0))
-            for tier in tiers
-        ]
-        for node in self.topology.nodes:
-            node_id = node.node_id
-            if not node.alive or node_id in excluded_nodes:
-                continue
-            load_term = w_load * (1.0 - load_scores(node_id))
-            tier_devices = node.tier_devices
-            cells = []
-            for tier, throughput_term in tier_terms:
-                device = None
-                utilization = 0.0
-                for candidate in tier_devices[tier]:
-                    used = candidate.used
-                    capacity = candidate.capacity
-                    if capacity - used >= size:
-                        fraction = used / capacity
-                        if device is None or fraction < utilization:
-                            device = candidate
-                            utilization = fraction
-                if device is not None:
-                    prefix = throughput_term + w_data * (1.0 - utilization) + load_term
-                    cells.append((tier, device, prefix))
-            if cells:
-                rows.append((node_id, node.rack, cells))
-        return rows
-
-    def _pick(
-        self,
-        rows: List[tuple],
-        used_nodes: Set[str],
-        used_racks: Set[str],
-        used_tiers: Set[TierSpec],
-        prefer_node: Optional[str],
-        fresh_only: bool,
-    ) -> Optional[PlacementTarget]:
-        """The best candidate for one replica, or None.
-
-        Adds the fault-tolerance and locality terms to each cell's
-        prefix in :meth:`_score`'s order and keeps the highest score,
-        the smallest ``(node_id, tier)`` on ties.  Nodes in
-        ``used_nodes`` are skipped, and with ``fresh_only`` so are tiers
-        in ``used_tiers``.
-        """
-        w_fault = self.w_fault_tolerance
-        local_term = self.w_locality * 1.0
-        remote_term = self.w_locality * 0.0
-        best_node: Optional[str] = None
-        best_tier: Optional[TierSpec] = None
-        best_device = None
-        best_score = float("-inf")
-        for node_id, rack, cells in rows:
-            if node_id in used_nodes:
-                continue
-            rack_bonus = 0.0 if rack in used_racks else 0.5
-            fresh_term = w_fault * (rack_bonus + 0.5)
-            reused_term = w_fault * (rack_bonus + 0.0)
-            locality_term = local_term if node_id == prefer_node else remote_term
-            for tier, device, prefix in cells:
-                if tier in used_tiers:
-                    if fresh_only:
-                        continue
-                    score = prefix + reused_term + locality_term
-                else:
-                    score = prefix + fresh_term + locality_term
-                if score > best_score or (
-                    score == best_score
-                    and best_node is not None
-                    and (node_id, tier) < (best_node, best_tier)
-                ):
-                    best_node = node_id
-                    best_tier = tier
-                    best_device = device
-                    best_score = score
-        if best_node is None:
-            return None
-        return PlacementTarget(best_node, best_tier, best_device.device_id)
-
     # -- PlacementPolicy API --------------------------------------------------
     def place_block(
         self,
@@ -539,29 +435,33 @@ class OctopusPlacementPolicy(PlacementPolicy):
         replication: int,
         writer_node: Optional[str] = None,
     ) -> List[PlacementTarget]:
+        """Greedy per replica: the best score on a tier the block lacks, else any."""
         targets: List[PlacementTarget] = []
         used_nodes: Set[str] = set()
         used_racks: Set[str] = set()
         used_tiers: Set[TierSpec] = set()
-        rows = self._candidate_rows(size, self.hierarchy.tiers, set())
+        tiers = self.hierarchy.tiers
+        index = self._index
+        index.refresh()
         for i in range(replication):
             prefer = writer_node if i == 0 else None
             # Strict tier-diversity preference: OctopusFS puts the replicas
             # of one block on *different* tiers while space lasts (Sec 3.1),
             # falling back to reusing tiers only when the fresh ones are full.
             fresh = True
-            target = self._pick(rows, used_nodes, used_racks, used_tiers, prefer, True)
+            fresh_tiers = [t for t in tiers if t not in used_tiers]
+            target = index.best(
+                size, fresh_tiers, used_nodes, used_racks, used_tiers, prefer
+            )
             if target is None:
                 fresh = False
-                target = self._pick(
-                    rows, used_nodes, used_racks, used_tiers, prefer, False
+                target = index.best(
+                    size, tiers, used_nodes, used_racks, used_tiers, prefer
                 )
             if target is None:
                 break
             if self.tracer is not None:
-                pool = [
-                    t for t in self.hierarchy if not fresh or t not in used_tiers
-                ]
+                pool = [t for t in self.hierarchy if not fresh or t not in used_tiers]
                 self._trace_choice(
                     size, i, target, pool, used_nodes, used_racks, used_tiers, prefer
                 )
@@ -586,8 +486,8 @@ class OctopusPlacementPolicy(PlacementPolicy):
 
         Re-scores every live candidate in ``pool`` with :meth:`_score`
         (the reference arithmetic) so the record shows *why* the winner
-        won.  Only called when a tracer is installed; the candidate rows
-        :meth:`place_block` scores from are not touched.
+        won.  Only called when a tracer is installed; the candidate index
+        :meth:`place_block` scores from is not touched.
         """
         candidates = []
         for node in self.topology.nodes:
@@ -635,7 +535,208 @@ class OctopusPlacementPolicy(PlacementPolicy):
             for r in block.replicas.values()
             if r.replica_id != from_replica.replica_id
         }
-        rows = self._candidate_rows(block.size, candidate_tiers, excluded)
-        return self._pick(
-            rows, set(), used_racks, used_tiers, from_replica.node_id, False
+        self._index.refresh()
+        return self._index.best(
+            block.size,
+            candidate_tiers,
+            excluded,
+            used_racks,
+            used_tiers,
+            from_replica.node_id,
         )
+
+
+class _Cell:
+    """One (node, tier) of a :class:`_CandidateIndex`.
+
+    ``device`` is the tier's emptiest device (the first one on ties) and
+    ``prefix`` the head of :meth:`OctopusPlacementPolicy._score`'s sum
+    for it; ``entry`` is the cell's key in its tier's sorted list.
+    """
+
+    def __init__(self, node: Node, tier: TierSpec, throughput_term: float) -> None:
+        self.node = node
+        self.tier = tier
+        self.throughput_term = throughput_term
+
+
+class _CandidateIndex:
+    """The (node, tier) cells of one Octopus policy, sorted by score prefix.
+
+    A cell's prefix is ``(throughput + data balance) + load balance`` of
+    :meth:`OctopusPlacementPolicy._score`, with the same products in the
+    same order.  Only device allocate/release and a node's transfer
+    start/finish move a prefix; they mark cells dirty, and
+    :meth:`refresh` recomputes just those.  Each tier keeps its cells in
+    one list sorted by ``(-prefix, node_id)``, so :meth:`best` can stop
+    a tier's walk at the first cell no later cell could beat.  Weights,
+    tier scores and the node set are read once, at construction.
+    """
+
+    def __init__(self, policy: "OctopusPlacementPolicy") -> None:
+        topology = self._topology = policy.topology
+        self._load_score = policy.node_manager.load_score
+        self._w_data = policy.w_data_balance
+        self._w_load = policy.w_load_balance
+        self._w_fault = policy.w_fault_tolerance
+        self._local_term = policy.w_locality * 1.0
+        self._remote_term = policy.w_locality * 0.0
+        # A fallback device is never emptier than the cached one, so its
+        # prefix stays under the sort key only if data balance pays.
+        self._bounded = self._w_data >= 0.0
+        self._racks = {node.rack for node in topology.nodes}
+        self._order: Dict[TierSpec, List[tuple]] = {t: [] for t in policy.hierarchy}
+        self._node_cells: Dict[str, Dict[TierSpec, _Cell]] = {}
+        self._device_cells: Dict[StorageDevice, _Cell] = {}
+        for node in topology.nodes:
+            cells = self._node_cells[node.node_id] = {}
+            for tier, devices in node.tier_devices.items():
+                if not devices:
+                    continue
+                throughput = policy.w_throughput * policy.tier_scores.get(tier, 0.0)
+                cell = cells[tier] = _Cell(node, tier, throughput)
+                for device in devices:
+                    self._device_cells[device] = cell
+                self._compute(cell)
+                self._order[tier].append(cell.entry)
+        for order in self._order.values():
+            order.sort()
+        self._dirty: Set[_Cell] = set()
+        topology.watch_usage(self.device_changed)
+        policy.node_manager.watch_load(self.load_changed)
+
+    def device_changed(self, device: StorageDevice) -> None:
+        """Mark the cell of ``device`` dirty (an allocate or release)."""
+        self._dirty.add(self._device_cells[device])
+
+    def load_changed(self, node_id: str) -> None:
+        """Mark every cell of ``node_id`` dirty (a transfer start or finish)."""
+        self._dirty.update(self._node_cells[node_id].values())
+
+    def _compute(self, cell: _Cell) -> None:
+        """Re-read ``cell``'s emptiest device and load, and rebuild its
+        prefix and sort entry (the caller re-files the entry)."""
+        node = cell.node
+        device = cell.device = node.best_device_for(cell.tier, 0)
+        load_term = self._w_load * (1.0 - self._load_score(node.node_id))
+        cell.load_term = load_term
+        cell.prefix = prefix = (
+            cell.throughput_term
+            + self._w_data * (1.0 - device.used / device.capacity)
+            + load_term
+        )
+        cell.entry = (-prefix, node.node_id, cell)
+
+    def refresh(self) -> None:
+        """Recompute the dirty cells and move them to their sorted places."""
+        for cell in self._dirty:
+            order = self._order[cell.tier]
+            order.remove(cell.entry)
+            self._compute(cell)
+            insort(order, cell.entry)
+        self._dirty.clear()
+
+    def _fit(self, cell: _Cell, size: int) -> tuple:
+        """``(device, prefix)`` for ``size`` bytes on ``cell``: the cached
+        device and prefix when it fits, else :meth:`Node.best_device_for`'s
+        device with its own prefix; ``(None, 0.0)`` if none fits."""
+        device = cell.device
+        if device.capacity - device.used >= size:
+            return device, cell.prefix
+        device = cell.node.best_device_for(cell.tier, size)
+        if device is None:
+            return None, 0.0
+        utilization = device.used / device.capacity
+        return device, (
+            cell.throughput_term + self._w_data * (1.0 - utilization) + cell.load_term
+        )
+
+    def best(
+        self,
+        size: int,
+        tiers: Sequence[TierSpec],
+        excluded: Set[str],
+        used_racks: Set[str],
+        used_tiers: Set[TierSpec],
+        prefer: Optional[str],
+    ) -> Optional[PlacementTarget]:
+        """The highest-scoring live, non-excluded cell of ``tiers`` for
+        ``size`` bytes, the smallest ``(node_id, tier)`` on ties.
+
+        Equals the argmax of :meth:`OctopusPlacementPolicy._score` over
+        the same candidates, given a :meth:`refresh` since the last
+        event.  The ``prefer`` node's cells are scored first, with the
+        locality bonus.  Then each tier's list is walked in prefix order
+        and left once ``(prefix + f_max) + remote`` falls strictly below
+        the best score: rounding is monotone, so no later cell can reach
+        it, and cells that tie are still visited.  ``f_max`` is the
+        largest fault term a node of the tier can earn given which racks
+        are used.  A cell whose cached device is too small scores
+        :meth:`Node.best_device_for`'s device instead.
+        """
+        w_fault = self._w_fault
+        remote_term = self._remote_term
+        bounded = self._bounded
+        best_node: Optional[str] = None
+        best_tier: Optional[TierSpec] = None
+        best_device = None
+        best_score = float("-inf")
+        prefer_cells = self._node_cells.get(prefer)
+        node = self._topology.node(prefer) if prefer_cells else None
+        if node is not None and node.alive and prefer not in excluded:
+            rack_bonus = 0.0 if node.rack in used_racks else 0.5
+            for tier in tiers:
+                cell = prefer_cells.get(tier)
+                if cell is None:
+                    continue
+                device, prefix = self._fit(cell, size)
+                if device is None:
+                    continue
+                tier_bonus = 0.0 if tier in used_tiers else 0.5
+                fault_term = w_fault * (rack_bonus + tier_bonus)
+                score = (prefix + fault_term) + self._local_term
+                if score > best_score or (
+                    score == best_score
+                    and best_node is not None
+                    and (prefer, tier) < (best_node, best_tier)
+                ):
+                    best_node, best_tier, best_device = prefer, tier, device
+                    best_score = score
+
+        no_rack_used = used_racks.isdisjoint(self._racks)
+        every_rack_used = not no_rack_used and self._racks <= used_racks
+        for tier in tiers:
+            tier_bonus = 0.0 if tier in used_tiers else 0.5
+            new_rack_term = w_fault * (0.5 + tier_bonus)
+            used_rack_term = w_fault * (0.0 + tier_bonus)
+            if every_rack_used:
+                f_max = used_rack_term
+            elif no_rack_used:
+                f_max = new_rack_term
+            else:
+                f_max = max(new_rack_term, used_rack_term)
+            for _key, node_id, cell in self._order[tier]:
+                if bounded and (cell.prefix + f_max) + remote_term < best_score:
+                    break
+                if node_id in excluded or node_id == prefer:
+                    continue
+                node = cell.node
+                if not node.alive:
+                    continue
+                device, prefix = self._fit(cell, size)
+                if device is None:
+                    continue
+                if node.rack in used_racks:
+                    score = (prefix + used_rack_term) + remote_term
+                else:
+                    score = (prefix + new_rack_term) + remote_term
+                if score > best_score or (
+                    score == best_score
+                    and best_node is not None
+                    and (node_id, tier) < (best_node, best_tier)
+                ):
+                    best_node, best_tier, best_device = node_id, tier, device
+                    best_score = score
+        if best_node is None:
+            return None
+        return PlacementTarget(best_node, best_tier, best_device.device_id)

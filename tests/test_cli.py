@@ -296,9 +296,7 @@ class TestObservabilityFlags:
 class TestLiveCommands:
     def export(self, tmp_path, name="fb", out="stream.jsonl"):
         path = str(tmp_path / out)
-        assert (
-            main(["scenario", "run", name, "--scale", "0.05", "--out", path]) == 0
-        )
+        assert main(["scenario", "run", name, "--scale", "0.05", "--out", path]) == 0
         return path
 
     def test_scenario_run_out_exports_instead_of_running(self, tmp_path, capsys):
@@ -444,9 +442,7 @@ class TestSweepCommands:
         spec = self.spec_file(tmp_path)
         store = str(tmp_path / "sweeps")
         out = str(tmp_path / "report.json")
-        assert (
-            main(["sweep", "run", spec, "--store", store, "--out", out]) == 0
-        )
+        assert main(["sweep", "run", spec, "--store", store, "--out", out]) == 0
         captured = capsys.readouterr()
         assert "2/2 cells ok" in captured.out
         report = json.loads(open(out).read())
@@ -468,9 +464,7 @@ class TestSweepCommands:
         assert "2/2 cells ok" in capsys.readouterr().out
 
     def test_sweep_report_without_store_errors(self, tmp_path, capsys):
-        assert (
-            main(["sweep", "report", "ghost", "--store", str(tmp_path)]) == 2
-        )
+        assert main(["sweep", "report", "ghost", "--store", str(tmp_path)]) == 2
         assert "no sweep manifest" in capsys.readouterr().err
 
     def test_sweep_run_markdown(self, tmp_path, capsys):
@@ -501,20 +495,13 @@ class TestProfileFlag:
 
     def test_live_profile(self, tmp_path, capsys):
         path = str(tmp_path / "stream.jsonl")
-        assert (
-            main(
-                ["scenario", "run", "fb", "--scale", "0.05", "--out", path]
-            )
-            == 0
-        )
+        assert main(["scenario", "run", "fb", "--scale", "0.05", "--out", path]) == 0
         code = main(["live", path, "--workers", "4", "--profile"])
         assert code == 0
         out = capsys.readouterr().out
         assert "-- profile (top 25 by cumulative time)" in out
 
     def test_simulate_profile(self, capsys):
-        code = main(
-            ["simulate", "--workload", "FB", "--scale", "0.05", "--profile"]
-        )
+        code = main(["simulate", "--workload", "FB", "--scale", "0.05", "--profile"])
         assert code == 0
         assert "-- profile (top 25 by cumulative time)" in capsys.readouterr().out

@@ -128,9 +128,7 @@ class TestLruLateAttach:
         policy = LruDowngradePolicy(manager.ctx)
         assert len(manager.stats) == 2
         for tier in (MEMORY, SSD, HDD):
-            assert policy.select_file_to_downgrade(tier) is scan_pick(
-                manager.ctx, tier
-            )
+            assert policy.select_file_to_downgrade(tier) is scan_pick(manager.ctx, tier)
         assert policy.select_file_to_downgrade(MEMORY).path == "/b"
 
 
@@ -261,9 +259,7 @@ class TestXgb:
     def test_candidate_limit_respected(self, stack):
         sim, master, client, manager = stack
         manager.conf.set("xgb.candidates", 2)
-        create_files(
-            client, sim, [(f"/f{i}", 32 * MB, 1) for i in range(5)]
-        )
+        create_files(client, sim, [(f"/f{i}", 32 * MB, 1) for i in range(5)])
         configure_policies(manager, downgrade="xgb")
         policy = manager.downgrade_policy
         policy.start_threshold = 0.0

@@ -1,19 +1,22 @@
-"""OctopusFS placement's table-driven scoring must equal its reference form.
+"""OctopusFS placement's indexed scoring must equal its reference form.
 
-``OctopusPlacementPolicy.place_block`` builds its (node, tier) candidate
-rows once per block (``_candidate_rows``: device choice, utilization and
-the replica-independent score prefix) and then adds only the fault and
-locality terms per replica (``_pick``).  ``select_transfer_target``
-shares the row builder.  The oracle here is the slow form: score every
-live, non-excluded (node, tier) pair with ``_score`` and take the
-highest score, breaking ties on the smallest ``(node_id, tier)``; whole
-``place_block`` calls are replayed replica by replica against it, with
-the fresh-tier preference and fallback.  Random cluster states cover the
-3-device HDD tier, dead and excluded nodes, full devices and forced
-equal utilizations (score ties).
+``OctopusPlacementPolicy`` keeps a ``_CandidateIndex`` of (node, tier)
+cells: each caches its emptiest device and the replica-independent
+score prefix, refreshed only when a device allocate/release or a
+transfer start/finish marks it dirty.  ``_CandidateIndex.best`` scores
+the preferred node on its own, then walks each tier's cells in prefix
+order, adds the fault and locality terms, and stops a tier once no later
+cell can reach the best score.  ``place_block`` and
+``select_transfer_target`` both choose through it.  The oracle here is
+the slow form: score every live, non-excluded (node, tier) pair with
+``_score`` and take the highest score, breaking ties on the smallest
+``(node_id, tier)``; whole ``place_block`` calls are replayed replica by
+replica against it, with the fresh-tier preference and fallback.  Random
+cluster states cover the 3-device HDD tier, dead and excluded nodes,
+full devices and forced equal utilizations (score ties).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import build_local_cluster
@@ -83,9 +86,9 @@ def as_tuples(targets):
 
 
 def pick(policy, size, tiers, excluded, used_racks, used_tiers, prefer):
-    """The table-driven choice of one candidate, for the same arguments."""
-    rows = policy._candidate_rows(size, tiers, excluded)
-    return policy._pick(rows, set(), used_racks, used_tiers, prefer, False)
+    """The index walk's choice of one candidate, for the same arguments."""
+    policy._index.refresh()
+    return policy._index.best(size, tiers, excluded, used_racks, used_tiers, prefer)
 
 
 @st.composite
@@ -268,3 +271,151 @@ def test_dead_and_excluded_nodes_are_never_chosen():
     excluded = {nodes[1].node_id, nodes[2].node_id}
     target = pick(policy, 64 * MB, list(policy.hierarchy), excluded, set(), set(), None)
     assert target.node_id == nodes[3].node_id
+
+
+# -- a long-lived index under interleaved events ------------------------------
+
+#: 3 GB + 2 bytes of HDD: the first of the three devices holds 2 bytes
+#: more than its siblings, so after a 1-byte allocation on it an empty
+#: sibling is the emptiest device yet too small for ``GB + 1`` bytes.
+_HDD_ODD = 3 * GB + 2
+
+_EVENT_SIZES = (1, 64 * MB, 256 * MB, 600 * MB, GB + 1)
+
+#: Allocation amounts; ``None`` fills the device to the brim.
+_AMOUNTS = (1, 64 * MB, 256 * MB, 512 * MB, None)
+
+_node = st.integers(0, WORKERS - 1)
+_tier = st.integers(0, 2)
+_events = st.one_of(
+    st.tuples(st.just("alloc"), _node, _tier, st.integers(0, 2), st.integers(0, 4)),
+    st.tuples(st.just("release"), st.integers(0, 63)),
+    st.tuples(st.just("start"), _node),
+    st.tuples(st.just("finish"), _node),
+    st.tuples(st.just("alive"), _node, st.booleans()),
+    st.tuples(
+        st.just("place"),
+        st.integers(0, 4),
+        st.integers(1, 4),
+        st.one_of(st.none(), _node),
+    ),
+    st.tuples(
+        st.just("transfer"),
+        st.integers(0, 4),
+        st.lists(st.tuples(_node, _tier), min_size=1, max_size=4, unique=True),
+        st.integers(0, 3),
+        st.lists(_tier, min_size=1, max_size=3),
+    ),
+)
+
+#: The HDD fallback: node 0's first HDD device gets 1 byte, then a
+#: ``GB + 1`` block moves off node 0's memory and may only go to HDD.
+_FALLBACK_EVENTS = [
+    ("alloc", 0, 2, 0, 0),
+    ("transfer", 4, [(0, 0)], 0, [2]),
+    ("place", 4, 3, 0),
+    ("transfer", 4, [(1, 0), (2, 1)], 1, [2]),
+]
+
+#: A release, then a transfer finish, each between two placements that
+#: would tie but for the event: a cell left stale picks another node.
+_RELEASE_EVENTS = [("place", 1, 1, None), ("release", 0), ("place", 1, 1, None)]
+_FINISH_EVENTS = [
+    ("start", 0),
+    ("place", 1, 1, None),
+    ("finish", 0),
+    ("place", 1, 1, None),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    w_data=st.sampled_from([0.4, -0.4]),
+    events=st.lists(_events, max_size=40),
+)
+@example(w_data=0.4, events=_FALLBACK_EVENTS)
+@example(w_data=-0.4, events=_FALLBACK_EVENTS)
+@example(w_data=0.4, events=_RELEASE_EVENTS)
+@example(w_data=0.4, events=_FINISH_EVENTS)
+def test_long_lived_index_tracks_every_event(w_data, events):
+    """One policy lives through allocations, releases, transfer counts,
+    node deaths and its own placements; every decision must equal the
+    oracle over the cluster as it stands."""
+    topo = build_local_cluster(
+        num_workers=WORKERS,
+        memory_per_node=1 * GB,
+        ssd_per_node=2 * GB,
+        hdd_per_node=_HDD_ODD,
+        rack_size=2,
+    )
+    nm = NodeManager(topo)
+    policy = OctopusPlacementPolicy(
+        topo, nm, Configuration({"placement.weight.data_balance": w_data})
+    )
+    nodes = topo.nodes
+    hierarchy = list(topo.hierarchy)
+    devices = {d.device_id: d for n in nodes for d in n.devices()}
+    held = []  # (device, replica_id, bytes) still allocated
+    next_id = iter(range(1, 10**6))
+
+    def allocate(device, amount):
+        if amount > 0 and device.has_space(amount):
+            replica_id = next(next_id)
+            device.allocate(replica_id, amount)
+            held.append((device, replica_id, amount))
+
+    for event in events:
+        kind = event[0]
+        if kind == "alloc":
+            _, index, tier, slot, amount = event
+            tier_devices = nodes[index].devices(hierarchy[tier])
+            device = tier_devices[slot % len(tier_devices)]
+            amount = _AMOUNTS[amount]
+            allocate(device, device.free if amount is None else amount)
+        elif kind == "release" and held:
+            device, replica_id, amount = held.pop(event[1] % len(held))
+            device.release(replica_id, amount)
+        elif kind == "start":
+            nm.transfer_started(nodes[event[1]].node_id)
+        elif kind == "finish":
+            node_id = nodes[event[1]].node_id
+            if nm.stats(node_id).active_transfers:
+                nm.transfer_finished(node_id)
+        elif kind == "alive":
+            nodes[event[1]].alive = event[2]
+        elif kind == "place":
+            _, size, replication, writer = event
+            size = _EVENT_SIZES[size]
+            writer_node = None if writer is None else nodes[writer].node_id
+            expected = oracle_place_block(policy, size, replication, writer_node)
+            targets = policy.place_block(size, replication, writer_node)
+            assert as_tuples(targets) == expected
+            for target in targets:
+                allocate(devices[target.device_id], size)
+        elif kind == "transfer":
+            _, size, holders, source, tiers = event
+            block = BlockInfo(0, 0, 0, _EVENT_SIZES[size])
+            for replica_id, (index, tier) in enumerate(holders):
+                node_id = nodes[index].node_id
+                block.replicas[replica_id] = ReplicaInfo(
+                    replica_id, block, node_id, hierarchy[tier], f"{node_id}:held"
+                )
+            source = block.replicas[source % len(holders)]
+            tiers = [hierarchy[t] for t in tiers]
+            others = [
+                r for r in block.replicas.values() if r.replica_id != source.replica_id
+            ]
+            expected = oracle(
+                policy,
+                block.size,
+                tiers,
+                policy._nodes_excluded_for(block, source),
+                {topo.node(r.node_id).rack for r in others},
+                {r.tier for r in others},
+                source.node_id,
+            )
+            target = policy.select_transfer_target(block, source, tiers)
+            if expected is None:
+                assert target is None
+            else:
+                assert (target.node_id, target.tier, target.device_id) == expected

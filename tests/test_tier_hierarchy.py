@@ -98,9 +98,7 @@ class TestTierHierarchy:
 
     def test_register_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            register_hierarchy(
-                "default3", lambda: TierHierarchy("default3", [])
-            )
+            register_hierarchy("default3", lambda: TierHierarchy("default3", []))
 
     def test_default3_cannot_be_replaced(self):
         # DEFAULT_HIERARCHY is bound to the default3 specs at import;
