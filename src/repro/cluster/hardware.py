@@ -81,9 +81,7 @@ class TierSpec:
         """The hierarchy that owns this spec (raises if unbound)."""
         owner = getattr(self, "_hierarchy", None)
         if owner is None:
-            raise ValueError(
-                f"tier {self.name!r} is not bound to a TierHierarchy yet"
-            )
+            raise ValueError(f"tier {self.name!r} is not bound to a TierHierarchy yet")
         return owner
 
     @property
@@ -234,8 +232,8 @@ class TierHierarchy:
 # ---------------------------------------------------------------------------
 
 #: Node-to-node network bandwidth: 10GbE (Fig 2 read throughputs require
-#: more than 1GbE).  This is the single shared definition — the I/O
-#: model and the Replication Monitor both import it.
+#: more than 1GbE).  The I/O model's default for ``io.network_bandwidth``,
+#: the one network knob: it caps task I/O and tier transfers alike.
 DEFAULT_NETWORK_BANDWIDTH = 1250 * MB
 
 #: Aggregate bandwidth of the shared endpoint in front of a rack-remote
@@ -262,15 +260,11 @@ def _memory_spec() -> TierSpec:
 
 
 def _nvme_spec() -> TierSpec:
-    return TierSpec(
-        name="NVME", media=NVME_MEDIA, default_capacity=32 * GB, score=0.8
-    )
+    return TierSpec(name="NVME", media=NVME_MEDIA, default_capacity=32 * GB, score=0.8)
 
 
 def _ssd_spec() -> TierSpec:
-    return TierSpec(
-        name="SSD", media=SSD_MEDIA, default_capacity=64 * GB, score=0.55
-    )
+    return TierSpec(name="SSD", media=SSD_MEDIA, default_capacity=64 * GB, score=0.55)
 
 
 def _hdd_spec() -> TierSpec:
@@ -375,6 +369,23 @@ register_hierarchy(
 #: The paper's 3-tier hierarchy; the default everywhere a hierarchy is
 #: not given explicitly.
 DEFAULT_HIERARCHY: TierHierarchy = get_hierarchy("default3")
+
+
+def transfer_seconds(
+    num_bytes: int,
+    from_tier: TierSpec,
+    to_tier: TierSpec,
+    cross_node: bool,
+    network_bandwidth: float = DEFAULT_NETWORK_BANDWIDTH,
+) -> float:
+    """Uncontended duration of a replica transfer between two media: how
+    the snapshot I/O model times a transfer, and every transfer's ideal."""
+    src = from_tier.media
+    dst = to_tier.media
+    bandwidth = min(src.read_bw, dst.write_bw)
+    if cross_node:
+        bandwidth = min(bandwidth, network_bandwidth)
+    return src.seek_latency + dst.seek_latency + num_bytes / bandwidth
 
 
 class StorageDevice:

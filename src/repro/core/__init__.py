@@ -12,9 +12,10 @@ Components (paper Fig 3):
 * :class:`AccessModelTrainer` — online training of the two XGB models.
 """
 
+from repro.cluster.hardware import transfer_seconds
 from repro.core.context import PolicyContext
 from repro.core.manager import ReplicationManager
-from repro.core.monitor import ReplicationMonitor, transfer_seconds
+from repro.core.monitor import ReplicationMonitor
 from repro.core.policy import DowngradeAction, DowngradePolicy, Policy, UpgradePolicy
 from repro.core.gds import GreedyDualSizeDowngradePolicy
 from repro.core.lecar import LeCaRDowngradePolicy

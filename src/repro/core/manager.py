@@ -48,8 +48,8 @@ class ReplicationManager(FileSystemListener):
         self.sim = sim
         self.conf = conf if conf is not None else Configuration()
         self.stats = StatisticsRegistry(k=self.conf.get_int("stats.k", 12))
-        # ``iomodel`` (when fair-share) makes monitor transfers contend
-        # with foreground task I/O instead of taking standalone time.
+        # ``iomodel`` times monitor transfers; without one the monitor
+        # builds a snapshot model of its own (standalone timing).
         self.monitor = ReplicationMonitor(
             master, sim, master.placement, self.conf, iomodel=iomodel
         )

@@ -3,7 +3,7 @@
 Responsibilities (paper Sec 3.3, Fig 3):
 
 * serve downgrade/upgrade requests from the Replication Manager by
-  scheduling timed block transfers on the simulator (reads from the
+  timing block transfers through the run's I/O model (reads from the
   source medium, writes to the destination, capped by the network for
   cross-node moves);
 * keep *pending* accounting so proactive policies see effective tier
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.cluster.hardware import DEFAULT_NETWORK_BANDWIDTH, TierSpec
+from repro.cluster.hardware import TierSpec, transfer_seconds
 from repro.common.config import Configuration
 from repro.dfs.block import BlockInfo, ReplicaInfo
 from repro.dfs.master import Master, TransferTicket
@@ -27,22 +27,6 @@ from repro.sim.simulator import PeriodicTimer, Simulator
 
 if TYPE_CHECKING:  # imported lazily to avoid a core <-> engine cycle
     from repro.engine.iomodel import IoModel
-
-
-def transfer_seconds(
-    num_bytes: int,
-    from_tier: TierSpec,
-    to_tier: TierSpec,
-    cross_node: bool,
-    network_bandwidth: float = DEFAULT_NETWORK_BANDWIDTH,
-) -> float:
-    """Duration of a replica transfer between two media."""
-    src = from_tier.media
-    dst = to_tier.media
-    bandwidth = min(src.read_bw, dst.write_bw)
-    if cross_node:
-        bandwidth = min(bandwidth, network_bandwidth)
-    return src.seek_latency + dst.seek_latency + num_bytes / bandwidth
 
 
 class ReplicationMonitor:
@@ -65,13 +49,14 @@ class ReplicationMonitor:
         self.sim = sim
         self.placement = placement
         self.conf = conf if conf is not None else Configuration()
-        #: Under the fair-share model transfers are flows that contend
-        #: with foreground task I/O; without it (or under snapshot
-        #: pricing) they keep the standalone transfer_seconds() timing.
-        self.iomodel = iomodel if iomodel is not None and iomodel.fairshare else None
-        self.network_bandwidth = self.conf.get_float(
-            "monitor.network_bandwidth", DEFAULT_NETWORK_BANDWIDTH
-        )
+        if iomodel is None:
+            # Imported here: a module-level import of the engine would
+            # close the core <-> engine import cycle.
+            from repro.engine.iomodel import IoModel
+
+            iomodel = IoModel(master.topology, sim, conf=self.conf)
+        #: Times every transfer (see IoModel.transfer).
+        self.iomodel = iomodel
         # Cache semantics (the AutoCache mode, Sec 3.3): memory replicas
         # are cache copies *on top of* the persistent replication factor,
         # so replication-health accounting must not count them.
@@ -91,8 +76,8 @@ class ReplicationMonitor:
         self.transfers_aborted = 0
         self.replicas_repaired = 0
         #: Transfer-delay accounting: ideal = standalone transfer time,
-        #: realized = wall time actually taken (they differ only when
-        #: transfers are priced through the fair-share engine).
+        #: realized = simulated time actually taken (they differ only
+        #: under the fair-share model).
         self.transfer_ideal_seconds = 0.0
         self.transfer_realized_seconds = 0.0
         self._health_timer: Optional[PeriodicTimer] = None
@@ -175,9 +160,7 @@ class ReplicationMonitor:
             )
         return scheduled
 
-    def _delete_replica_if_safe(
-        self, replica: ReplicaInfo, tier: TierSpec
-    ) -> int:
+    def _delete_replica_if_safe(self, replica: ReplicaInfo, tier: TierSpec) -> int:
         if replica.block.replica_count <= 1:
             return 0
         size = replica.size
@@ -249,28 +232,19 @@ class ReplicationMonitor:
     ) -> None:
         """Time one replica transfer and fire ``finish`` when it lands.
 
-        With a fair-share I/O model the transfer becomes a flow through
-        the shared engine (reads the source device, writes the target,
-        crosses NICs/endpoints) and experiences — and causes — real
-        contention; otherwise it takes the standalone duration, exactly
-        as before.
+        The I/O model times it: under fair share it is a flow (reads the
+        source device, writes the target, crosses NICs/endpoints) that
+        experiences, and causes, real contention; under snapshot it
+        takes the standalone duration.  The ideal is that standalone
+        duration at the I/O model's own network bandwidth, so realized
+        >= ideal holds under both models.
         """
-        cross_node = source.node_id != target.node_id
-        # Price the ideal against the bandwidth the engine actually
-        # enforces, so realized >= ideal holds whatever the monitor's
-        # own network knob says (under fairshare that knob no longer
-        # governs transfer timing — the shared NIC resources do).
-        network = (
-            self.iomodel.network_bandwidth
-            if self.iomodel is not None
-            else self.network_bandwidth
-        )
         ideal = transfer_seconds(
             block.size,
             source.tier,
             target.tier,
-            cross_node,
-            network,
+            source.node_id != target.node_id,
+            self.iomodel.network_bandwidth,
         )
         started = self.sim.now()
 
@@ -282,18 +256,15 @@ class ReplicationMonitor:
             self.transfer_realized_seconds += self.sim.now() - started
             finish()
 
-        if self.iomodel is not None:
-            self.iomodel.transfer(
-                block.size,
-                source.device_id,
-                source.node_id,
-                target.device_id,
-                target.node_id,
-                on_complete=timed_finish,
-                name=name,
-            )
-        else:
-            self.sim.after(ideal, timed_finish, name=name)
+        self.iomodel.transfer(
+            block.size,
+            source.device_id,
+            source.node_id,
+            target.device_id,
+            target.node_id,
+            on_complete=timed_finish,
+            name=name,
+        )
 
     def _schedule_copy(
         self,
@@ -443,11 +414,7 @@ class ReplicationMonitor:
         # (fast tiers first, though usually only HDD has room).  In cache
         # mode only persistent tiers restore the replication factor.
         source = block.replicas_on_tier(block.best_tier())[0]
-        tiers = [
-            t
-            for t in self.hierarchy
-            if not (self.cache_mode and t.is_highest)
-        ]
+        tiers = [t for t in self.hierarchy if not (self.cache_mode and t.is_highest)]
         target = self.placement.select_copy_target(block, tiers)
         if target is None:
             return

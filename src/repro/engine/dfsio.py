@@ -73,9 +73,7 @@ class DfsioRunner:
     ) -> None:
         self.spec = spec or DfsioSpec()
         # Reuse the runner's system assembly with an empty trace.
-        self.runner = WorkloadRunner(
-            Trace(name="dfsio", duration=0.0), config
-        )
+        self.runner = WorkloadRunner(Trace(name="dfsio", duration=0.0), config)
         self.result = DfsioResult(label=config.label)
 
     # -- write phase ------------------------------------------------------------
@@ -135,6 +133,7 @@ class DfsioRunner:
                             node_id=replica.node_id,
                         )
                     )
+
             def finish() -> None:
                 cumulative[0] += size
                 self.result.write_records.append(
@@ -142,24 +141,9 @@ class DfsioRunner:
                 )
                 start_writer(node_id, queue)
 
-            if self.runner.iomodel.fairshare:
-                self.runner.iomodel.write(
-                    size,
-                    legs,
-                    writer_node=node_id,
-                    on_complete=finish,
-                    name=f"dfsio-write-{path}",
-                )
-                return
-            duration, release = self.runner.iomodel.start_write(
-                size, legs, writer_node=node_id
+            self.runner.iomodel.write(
+                size, legs, node_id, finish, name=f"dfsio-write-{path}"
             )
-
-            def finish_snapshot() -> None:
-                release()
-                finish()
-
-            sim.after(duration, finish_snapshot, name=f"dfsio-write-{path}")
 
         for node_id, queue in zip(nodes, assignments):
             if queue:
@@ -199,6 +183,12 @@ class DfsioRunner:
             if not plan.reads:
                 start_reader(node_id, queue)
                 return
+            # The one caller that still tells the pricing models apart.
+            # Snapshot prices every block of the file when the file is
+            # opened and schedules them back to back, so the file's open
+            # streams share its devices; fair share starts each block's
+            # flow when the previous one drains.  Pricing snapshot blocks
+            # one by one through ``IoModel.read`` would move Fig 2.
             if self.runner.iomodel.fairshare:
                 # Blocks are read strictly one after another: each flow
                 # starts when the previous one drains, so the client

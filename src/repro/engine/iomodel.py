@@ -1,6 +1,11 @@
 """Contention-aware I/O timing: snapshot pricing or fair-share flows.
 
-Two pricing models share this facade, selected per run with
+Every caller does its I/O through one API, :meth:`IoModel.read`,
+:meth:`IoModel.write` and :meth:`IoModel.transfer`: each takes an
+``on_complete`` callback plus an optional trailing delay, given as its
+addends (a map task's CPU time and task overhead, say), and calls back
+once the I/O and the delay are over.  Callers never learn which of the
+two pricing models runs; it is selected per run with
 ``SystemConfig.io_model`` / ``--io-model``:
 
 ``snapshot`` (default, the pre-flow behaviour, bit-identical)
@@ -11,13 +16,18 @@ Two pricing models share this facade, selected per run with
     per-node network bandwidth shared the same way.  This is what makes
     the DFSIO experiment (Fig 2) come out paper-shaped: writing 3 HDD
     replicas per block triples the HDD stream load and collapses
-    per-node throughput relative to tiered placement.
+    per-node throughput relative to tiered placement.  An operation is
+    one simulator event at its priced duration plus its delay; the
+    event releases the streams, then calls back.  Tier transfers hold
+    no stream and take their standalone :func:`transfer_seconds`.
 
 ``fairshare``
     Every operation becomes a flow with bytes remaining traversing a
     resource graph (devices, per-node NICs, shared resources); rates are
     re-solved max-min fair whenever any flow starts or finishes, and
-    completion events are rescheduled (:mod:`repro.engine.flows`).  Two
+    completion events are rescheduled (:mod:`repro.engine.flows`).  The
+    callback fires when the last byte lands, or one event after the
+    delay when there is one (the delay holds no resource).  Two
     *shared* resources exist only here: a cluster-wide endpoint cap in
     front of every remote tier (so ``remote5`` cold-tier throughput no
     longer scales with worker count) and optional per-rack uplinks
@@ -34,6 +44,7 @@ from repro.cluster.hardware import (
     DEFAULT_REMOTE_ENDPOINT_BANDWIDTH,
     StorageDevice,
     TierSpec,
+    transfer_seconds,
 )
 from repro.cluster.topology import ClusterTopology
 from repro.common.config import Configuration
@@ -65,8 +76,7 @@ class IoModel:
     def __init__(
         self,
         topology: ClusterTopology,
-        network_bandwidth: float = DEFAULT_NETWORK_BANDWIDTH,
-        sim: Optional[Simulator] = None,
+        sim: Simulator,
         pricing: str = "snapshot",
         conf: Optional[Configuration] = None,
     ) -> None:
@@ -76,8 +86,10 @@ class IoModel:
             )
         self.topology = topology
         conf = conf if conf is not None else Configuration()
+        #: Per-node NIC bandwidth, the one network knob: it caps every
+        #: cross-node read, write and tier transfer under both models.
         self.network_bandwidth = conf.get_float(
-            "io.network_bandwidth", network_bandwidth
+            "io.network_bandwidth", DEFAULT_NETWORK_BANDWIDTH
         )
         self.pricing = pricing
         self.sim = sim
@@ -109,8 +121,6 @@ class IoModel:
         self._endpoint_resource: Dict[TierSpec, Resource] = {}
         self._uplink_resource: Dict[str, Resource] = {}
         if pricing == "fairshare":
-            if sim is None:
-                raise ValueError("fairshare pricing needs the simulator")
             self.engine = FairShareEngine(sim)
             endpoint_bw = conf.get_float(
                 "io.remote_endpoint_bandwidth", DEFAULT_REMOTE_ENDPOINT_BANDWIDTH
@@ -120,9 +130,7 @@ class IoModel:
                 self._dev_resource[device_id] = Resource(
                     f"dev:{device_id}", profile.read_bw
                 )
-                self._dev_write_weight[device_id] = (
-                    profile.read_bw / profile.write_bw
-                )
+                self._dev_write_weight[device_id] = profile.read_bw / profile.write_bw
             for node in topology.nodes:
                 self._nic_resource[node.node_id] = Resource(
                     f"nic:{node.node_id}", self.network_bandwidth
@@ -188,10 +196,10 @@ class IoModel:
             raise RuntimeError(
                 "start_read/start_write price a whole operation up front and "
                 "only exist under the snapshot model; use read()/write()/"
-                "transfer() with an on_complete callback under fairshare"
+                "transfer() with an on_complete callback"
             )
 
-    # -- reads (snapshot) ----------------------------------------------------
+    # -- snapshot pricing steps ----------------------------------------------
     def start_read(
         self,
         size: int,
@@ -200,10 +208,12 @@ class IoModel:
         reader_node: str,
         source_node: str,
     ) -> Tuple[float, Callable[[], None]]:
-        """Begin a block read; returns (duration, release callback).
+        """The snapshot pricing step of :meth:`read`.
 
-        The caller must invoke the release callback when the read ends
-        (i.e. schedule it on the simulator at start + duration).
+        Prices a block read at the current stream counts and opens its
+        streams; returns ``(duration, release)``.  ``release`` must be
+        called once, when the read ends (``read`` does it in its
+        completion event).
         """
         self._require_snapshot()
         device = self._devices[device_id]
@@ -229,14 +239,15 @@ class IoModel:
         release = self._acquire([device_id], net_nodes)
         return duration, release
 
-    # -- writes (snapshot) ---------------------------------------------------
     def start_write(
         self, size: int, legs: List[WriteLeg], writer_node: Optional[str]
     ) -> Tuple[float, Callable[[], None]]:
-        """Begin a pipelined block write to all replica legs.
+        """The snapshot pricing step of :meth:`write`.
 
-        The pipeline streams at the minimum effective bandwidth across
-        legs (slowest medium or the network for remote legs).
+        Prices a pipelined write to all replica legs and opens its
+        streams; returns ``(duration, release)`` as :meth:`start_read`
+        does.  The pipeline streams at the minimum effective bandwidth
+        across legs (slowest medium or the network for remote legs).
         """
         self._require_snapshot()
         if not legs:
@@ -270,15 +281,6 @@ class IoModel:
         return duration, release
 
     # -- fair-share link assembly --------------------------------------------
-    def _require_fairshare(self) -> FairShareEngine:
-        if self.engine is None:
-            raise RuntimeError(
-                "read()/write()/transfer() schedule completion through the "
-                "flow engine and only exist under the fairshare model; use "
-                "start_read/start_write under snapshot"
-            )
-        return self.engine
-
     class _LinkSet:
         """Dedups (resource, weight) pairs, keeping the highest weight."""
 
@@ -326,18 +328,19 @@ class IoModel:
         links.add(endpoint)
         links.add(self._nic_resource.get(accessing_node))
 
-    # -- fair-share operations -----------------------------------------------
+    # -- the I/O entry points -----------------------------------------------
     def _submit_tracked(
         self,
-        engine: FairShareEngine,
         tier_name: str,
         size: int,
         links: "IoModel._LinkSet",
         on_complete: Callable[[], None],
+        delay: Tuple[float, ...],
         latency: float,
         name: str,
-    ) -> Flow:
-        """Submit a flow whose completion accounts realized-minus-ideal time.
+    ) -> None:
+        """Submit a fair-share flow whose completion accounts realized-minus-
+        ideal time, then calls back after ``delay``.
 
         The ideal is the flow's own ``ideal_duration``: its latency plus
         its bytes at the rate it would get running alone on its *actual*
@@ -347,11 +350,18 @@ class IoModel:
         contention counts as queue delay.  The wrapper only adds
         bookkeeping at the completion instant — flow rates, event order,
         and timing are untouched, so results stay bit-identical with the
-        accounting in place.
+        accounting in place.  A non-empty ``delay``, summed left to
+        right, is one event after the last byte.
         """
         queue_delay_by_tier = self.queue_delay_by_tier
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         flow: Optional[Flow] = None
+        wait: Optional[float] = None
+        if delay:
+            wait = delay[0]
+            for addend in delay[1:]:
+                wait += addend
 
         def done() -> None:
             nonlocal flow
@@ -360,10 +370,14 @@ class IoModel:
             # The flow holds this wrapper; drop the way back so a finished
             # flow is freed by refcount, not the cyclic GC.
             flow = None
-            on_complete()
+            if wait is None:
+                on_complete()
+            else:
+                sim.after(wait, on_complete, name=name)
 
-        flow = engine.submit(size, links.as_list(), done, latency=latency, name=name)
-        return flow
+        flow = self.engine.submit(
+            size, links.as_list(), done, latency=latency, name=name
+        )
 
     def read(
         self,
@@ -373,22 +387,41 @@ class IoModel:
         reader_node: str,
         source_node: str,
         on_complete: Callable[[], None],
+        *delay: float,
         name: str = "read",
-    ) -> Flow:
-        """Start a block-read flow; ``on_complete`` fires when it drains."""
-        engine = self._require_fairshare()
+    ) -> None:
+        """Read one block, then call ``on_complete`` after ``delay``.
+
+        ``delay`` is given as its addends (a map task passes its CPU time
+        and its overhead); the callback comes that long after the last
+        byte.  Snapshot streams stay open until then, as the one event's
+        release; a fair-share flow frees its links at the last byte.
+        """
+        if self.engine is None:
+            duration, release = self.start_read(
+                size, device_id, remote, reader_node, source_node
+            )
+            for addend in delay:
+                duration += addend
+
+            def done() -> None:
+                release()
+                on_complete()
+
+            self.sim.after(duration, done, name=name)
+            return
         device = self._devices[device_id]
         links = self._LinkSet()
         links.add(self._dev_resource[device_id])
         if remote:
             self._add_network_legs(links, source_node, reader_node)
         self._add_endpoint_leg(links, device, reader_node)
-        return self._submit_tracked(
-            engine,
+        self._submit_tracked(
             device.tier.name,
             size,
             links,
             on_complete,
+            delay,
             device.profile.seek_latency,
             name,
         )
@@ -399,10 +432,23 @@ class IoModel:
         legs: List[WriteLeg],
         writer_node: Optional[str],
         on_complete: Callable[[], None],
+        *delay: float,
         name: str = "write",
-    ) -> Flow:
-        """Start a pipelined write flow to all replica legs."""
-        engine = self._require_fairshare()
+    ) -> None:
+        """Write ``size`` bytes through a pipeline to all replica legs,
+        then call ``on_complete`` after ``delay`` (addends, as in
+        :meth:`read`)."""
+        if self.engine is None:
+            duration, release = self.start_write(size, legs, writer_node)
+            for addend in delay:
+                duration += addend
+
+            def done() -> None:
+                release()
+                on_complete()
+
+            self.sim.after(duration, done, name=name)
+            return
         if not legs:
             raise ValueError("write needs at least one leg")
         links = self._LinkSet()
@@ -418,12 +464,12 @@ class IoModel:
             self._add_endpoint_leg(
                 links, leg.device, writer_node if writer_node else leg.node_id
             )
-        return self._submit_tracked(
-            engine,
+        self._submit_tracked(
             _bottleneck_leg(legs).device.tier.name,
             size,
             links,
             on_complete,
+            delay,
             latency,
             name,
         )
@@ -437,15 +483,25 @@ class IoModel:
         target_node: str,
         on_complete: Callable[[], None],
         name: str = "transfer",
-    ) -> Flow:
-        """Start a tier-transfer flow: read source, write target.
+    ) -> None:
+        """Copy a replica between devices, then call ``on_complete``.
 
-        This is how Replication Monitor migrations contend with
-        foreground task I/O under the fair-share model.
+        Replication Monitor migrations: under fair share a flow that
+        contends with task I/O, under snapshot the standalone
+        :func:`transfer_seconds`, holding no stream.
         """
-        engine = self._require_fairshare()
         src = self._devices[source_device_id]
         dst = self._devices[target_device_id]
+        if self.engine is None:
+            duration = transfer_seconds(
+                size,
+                src.tier,
+                dst.tier,
+                source_node != target_node,
+                self.network_bandwidth,
+            )
+            self.sim.after(duration, on_complete, name=name)
+            return
         links = self._LinkSet()
         links.add(self._dev_resource[source_device_id])
         links.add(
@@ -458,9 +514,7 @@ class IoModel:
         self._add_endpoint_leg(links, src, target_node)
         self._add_endpoint_leg(links, dst, source_node)
         latency = src.profile.seek_latency + dst.profile.seek_latency
-        return self._submit_tracked(
-            engine, dst.tier.name, size, links, on_complete, latency, name
-        )
+        self._submit_tracked(dst.tier.name, size, links, on_complete, (), latency, name)
 
     # -- introspection -------------------------------------------------------
     def active_streams(self, device_id: str) -> int:
@@ -510,9 +564,7 @@ class IoModel:
                 leaked = list(self.engine._flows.values())
                 raise RuntimeError(f"flows leaked: {leaked[:5]!r}")
             return
-        leaked_devices = {
-            d: n for d, n in self._device_streams.items() if n != 0
-        }
+        leaked_devices = {d: n for d, n in self._device_streams.items() if n != 0}
         leaked_nics = {n: c for n, c in self._net_streams.items() if c != 0}
         if leaked_devices or leaked_nics:
             raise RuntimeError(

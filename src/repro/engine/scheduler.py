@@ -52,23 +52,15 @@ class JobExecution:
 class _Task:
     """A queued task and, once started, where, since when and as what.
 
-    The completion steps are bound methods of the record, so starting
-    a task allocates no closures.
+    The completion step is a bound method of the record, so starting a
+    task allocates no closure of its own.
     """
 
-    __slots__ = ("scheduler", "job", "node_id", "start", "name", "delay", "release")
+    __slots__ = ("scheduler", "job", "node_id", "start", "name")
 
     def __init__(self, scheduler: "TaskScheduler", job: JobExecution) -> None:
         self.scheduler = scheduler
         self.job = job
-
-    def io_done(self) -> None:
-        """Fair-share pricing: the last byte landed; ``delay`` remains."""
-        self.scheduler.sim.after(self.delay, self.finish, name=self.name)
-
-    def finish_snapshot(self) -> None:
-        self.release()
-        self.finish()
 
     def finish(self) -> None:
         raise NotImplementedError
@@ -328,26 +320,18 @@ class TaskScheduler:
         task.tier = replica.tier
         self.master.node_manager.record_read(replica.node_id, replica.tier, block.size)
         cpu = task.job.trace_job.cpu_seconds_per_byte * block.size
-        if self.iomodel.fairshare:
-            # The flow engine owns I/O completion; CPU crunch and task
-            # overhead run after the last byte lands (and no longer hold
-            # the device, unlike the snapshot approximation).
-            task.delay = cpu + self._overhead()
-            self.iomodel.read(
-                block.size,
-                replica.device_id,
-                remote,
-                node_id,
-                replica.node_id,
-                on_complete=task.io_done,
-                name=task.name,
-            )
-            return
-        duration, task.release = self.iomodel.start_read(
-            block.size, replica.device_id, remote, node_id, replica.node_id
+        # CPU crunch and task overhead follow the last byte.
+        self.iomodel.read(
+            block.size,
+            replica.device_id,
+            remote,
+            node_id,
+            replica.node_id,
+            task.finish,
+            cpu,
+            self._overhead(),
+            name=task.name,
         )
-        overhead = self._overhead()
-        self.sim.after(duration + cpu + overhead, task.finish_snapshot, name=task.name)
 
     def _map_finished(self, task: _MapTask) -> None:
         node_id = task.node_id
@@ -409,35 +393,17 @@ class TaskScheduler:
                         node_id=replica.node_id,
                     )
                 )
-        if self.iomodel.fairshare:
-            task.delay = self._overhead()
-            for sink in job.sinks:
-                sink.record_write(total_size)
-            if not legs:
-                self.sim.after(task.delay, task.finish, name=task.name)
-                return
-            # Pipeline all blocks as one flow: replication multiplies
-            # the aggregate device load, the dominant scale effect.
-            self.iomodel.write(
-                total_size,
-                legs,
-                writer_node=node_id,
-                on_complete=task.io_done,
-                name=task.name,
-            )
-            return
-        if legs:
-            # Pipeline all blocks as one stream: replication multiplies
-            # the aggregate device load, the dominant scale effect.
-            duration, task.release = self.iomodel.start_write(
-                total_size, legs, writer_node=node_id
-            )
-        else:
-            duration, task.release = 0.0, lambda: None
         overhead = self._overhead()
         for sink in job.sinks:
             sink.record_write(total_size)
-        self.sim.after(duration + overhead, task.finish_snapshot, name=task.name)
+        if not legs:
+            self.sim.after(overhead, task.finish, name=task.name)
+            return
+        # Pipeline all blocks as one operation: replication multiplies
+        # the aggregate device load, the dominant scale effect.
+        self.iomodel.write(
+            total_size, legs, node_id, task.finish, overhead, name=task.name
+        )
 
     def _output_finished(self, task: _OutputTask) -> None:
         self._release_slot(task.node_id)
@@ -450,9 +416,7 @@ class TaskScheduler:
         for sink in job.sinks:
             sink.record_task_time(job.bin_name, elapsed)
         if self.tracer is not None:
-            self.tracer.emit(
-                "task_write", job=job.trace_job.job_id, seconds=elapsed
-            )
+            self.tracer.emit("task_write", job=job.trace_job.job_id, seconds=elapsed)
         job.outputs_remaining -= 1
         if job.outputs_remaining == 0 and job.maps_remaining == 0:
             self._finish_job(job)

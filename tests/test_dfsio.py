@@ -1,18 +1,28 @@
 """Tests for the DFSIO benchmark runner (Fig 2 machinery)."""
 
 
+import pytest
+
 from repro.common.units import GB
 from repro.engine import DfsioRunner, SystemConfig
 from repro.workload import DfsioSpec
 
 
-def run_dfsio(placement, downgrade=None, upgrade=None, total=8 * GB, workers=4):
+def run_dfsio(
+    placement,
+    downgrade=None,
+    upgrade=None,
+    total=8 * GB,
+    workers=4,
+    io_model="snapshot",
+):
     config = SystemConfig(
         label=placement,
         placement=placement,
         downgrade=downgrade,
         upgrade=upgrade,
         workers=workers,
+        io_model=io_model,
     )
     runner = DfsioRunner(config, DfsioSpec(total_bytes=total, file_size=1 * GB))
     return runner, runner.run()
@@ -72,3 +82,44 @@ class TestDfsioRunner:
         assert monitor.bytes_downgraded[memory] > 0
         util = master.tier_utilization(memory)
         assert util <= 0.95
+
+
+def _records(durations):
+    """``(cumulative bytes, file bytes, seconds)`` for eight 1 GB files."""
+    return [(i * GB, GB, seconds) for i, seconds in enumerate(durations, 1)]
+
+
+#: Per-file DFSIO durations (write phase, read phase) of the 8 GB,
+#: 4-worker run under both pricing models.  They are pinned exactly: a
+#: changed float anywhere on the DFSIO path shows here, where the
+#: shape-only tests above would not see it.
+DFSIO_PINNED = {
+    ("octopus", "snapshot"): (
+        [9.317090909090908, 18.626181818181816, 18.626181818181816]
+        + [27.93527272727273, 27.935272727272732]
+        + [27.93527272727273] * 3,
+        [1.5367999999999995] * 8,
+    ),
+    ("octopus", "fairshare"): (
+        [27.93527272727273] * 8,
+        [0.34213333333337914] * 8,
+    ),
+    ("hdfs", "snapshot"): (
+        [9.317090909090908, 37.24436363636364, 55.86254545454546]
+        + [74.48072727272726, 74.48072727272726]
+        + [74.48072727272728, 74.48072727272728, 74.48072727272726],
+        [14.833230769230767] * 8,
+    ),
+    ("hdfs", "fairshare"): (
+        [37.24436363636364] * 8,
+        [7.9409230769230135] * 8,
+    ),
+}
+
+
+@pytest.mark.parametrize("placement, io_model", sorted(DFSIO_PINNED))
+def test_dfsio_records_are_pinned(placement, io_model):
+    _, result = run_dfsio(placement, io_model=io_model)
+    writes, reads = DFSIO_PINNED[placement, io_model]
+    assert result.write_records == _records(writes)
+    assert result.read_records == _records(reads)

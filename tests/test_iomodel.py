@@ -5,13 +5,14 @@ import pytest
 from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.units import MB
 from repro.engine.iomodel import IoModel, WriteLeg
+from repro.sim.simulator import Simulator
 
 MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 
 
 @pytest.fixture
 def iomodel():
-    return IoModel(build_local_cluster(num_workers=3))
+    return IoModel(build_local_cluster(num_workers=3), Simulator())
 
 
 def mem_device(iomodel, node_index=0):

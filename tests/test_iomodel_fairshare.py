@@ -1,4 +1,5 @@
-"""Fair-share IoModel behaviour: re-pricing, shared resources, transfers."""
+"""IoModel behaviour: fair-share re-pricing, shared resources, transfers,
+and a closed-form oracle for lone operations under both models."""
 
 from __future__ import annotations
 
@@ -7,12 +8,10 @@ import gc
 import pytest
 
 from repro.cluster.builder import build_local_cluster, build_tiered_cluster
-from repro.cluster.hardware import (
-    DEFAULT_REMOTE_ENDPOINT_BANDWIDTH,
-)
+from repro.cluster.hardware import DEFAULT_REMOTE_ENDPOINT_BANDWIDTH, get_hierarchy
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
-from repro.engine.iomodel import IoModel, WriteLeg
+from repro.engine.iomodel import IO_MODEL_NAMES, IoModel, WriteLeg
 from repro.engine.runner import SystemConfig, run_workload
 from repro.sim.simulator import Simulator
 from repro.workload.profiles import PROFILES, scaled_profile
@@ -39,20 +38,94 @@ class TestModeGuards:
         with pytest.raises(RuntimeError, match="snapshot"):
             model.start_read(1 * MB, device.device_id, False, node, node)
 
-    def test_flow_api_raises_under_snapshot(self):
-        model = IoModel(build_local_cluster(num_workers=3))
-        node = model.topology.nodes[0].node_id
-        device = node_device(model.topology, 0, "HDD")
-        with pytest.raises(RuntimeError, match="fairshare"):
-            model.read(1 * MB, device.device_id, False, node, node, lambda: None)
-
-    def test_fairshare_requires_simulator(self):
-        with pytest.raises(ValueError, match="simulator"):
-            IoModel(build_local_cluster(num_workers=3), pricing="fairshare")
-
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown io model"):
-            IoModel(build_local_cluster(num_workers=3), pricing="psq")
+            IoModel(build_local_cluster(num_workers=3), Simulator(), pricing="psq")
+
+
+#: Every tier of every preset, under both pricing models.
+LONE_OP_CASES = [
+    (preset, tier.name, pricing)
+    for preset in ("default3", "mem-hdd", "nvme4", "remote5")
+    for tier in get_hierarchy(preset)
+    for pricing in IO_MODEL_NAMES
+]
+
+
+class TestLoneOperationOracle:
+    """Closed form: one operation alone on a local device streams at the
+    medium's bandwidth, under both models and through the one API.
+
+    Under fair share a remote tier's bytes also cross the shared
+    endpoint and the accessing node's NIC, so its rate is the smallest
+    of the three; the endpoint is set below every remote medium here,
+    so it is the cap that binds.  Snapshot times are compared exactly,
+    fair-share times to 1e-12 (the engine integrates bytes over
+    re-solves).
+    """
+
+    SIZE = 128 * MB
+    ENDPOINT = 64 * MB
+
+    def check(self, done, expected, pricing):
+        if pricing == "snapshot":
+            assert done == [expected]
+        else:
+            assert done == [pytest.approx(expected, rel=1e-12)]
+
+    @pytest.mark.parametrize("op", ["read", "write"])
+    @pytest.mark.parametrize("preset, tier_name, pricing", LONE_OP_CASES)
+    def test_lone_operation(self, preset, tier_name, pricing, op):
+        topology = build_tiered_cluster(num_workers=3, tiers=preset)
+        sim = Simulator()
+        conf = Configuration({"io.remote_endpoint_bandwidth": self.ENDPOINT})
+        model = IoModel(topology, sim, pricing=pricing, conf=conf)
+        device = node_device(topology, 0, tier_name)
+        node = topology.nodes[0].node_id
+        done = []
+        if op == "write":
+            legs = [WriteLeg(device=device, remote=False, node_id=node)]
+            model.write(self.SIZE, legs, node, lambda: done.append(sim.now()))
+            bandwidth = device.profile.write_bw
+        else:
+            model.read(
+                self.SIZE,
+                device.device_id,
+                False,
+                node,
+                node,
+                lambda: done.append(sim.now()),
+            )
+            bandwidth = device.profile.read_bw
+        sim.run()
+        model.assert_drained()
+        if pricing == "fairshare" and device.tier.remote:
+            bandwidth = min(bandwidth, self.ENDPOINT, model.network_bandwidth)
+        expected = device.profile.seek_latency + self.SIZE / bandwidth
+        self.check(done, expected, pricing)
+
+    @pytest.mark.parametrize("pricing", IO_MODEL_NAMES)
+    def test_delay_addends_follow_the_last_byte(self, pricing):
+        topology = build_local_cluster(num_workers=3)
+        sim = Simulator()
+        model = IoModel(topology, sim, pricing=pricing)
+        device = node_device(topology, 0, "HDD")
+        node = topology.nodes[0].node_id
+        done = []
+        model.read(
+            self.SIZE,
+            device.device_id,
+            False,
+            node,
+            node,
+            lambda: done.append(sim.now()),
+            1.5,
+            0.25,
+        )
+        sim.run()
+        model.assert_drained()
+        io = device.profile.seek_latency + self.SIZE / device.profile.read_bw
+        self.check(done, io + 1.5 + 0.25, pricing)
 
 
 class TestRePricing:
@@ -250,29 +323,6 @@ class TestMonitorTransfersContend:
         )
         assert result.io_stats["model"] == "fairshare"
         assert result.io_stats["flows_completed"] == result.io_stats["flows_started"]
-
-    def test_slow_monitor_network_knob_cannot_inflate_ideal(self):
-        """Under fairshare the NIC resources govern transfer timing; a
-        slow monitor.network_bandwidth must not price the ideal above
-        what the engine realizes (delay would clamp to zero exactly
-        when contention matters)."""
-        trace = synthesize_trace(scaled_profile(PROFILES["FB"], 0.3), seed=42)
-        config = SystemConfig(
-            label="knob",
-            placement="octopus",
-            downgrade="lru",
-            upgrade="osa",
-            io_model="fairshare",
-            memory_per_node=1 * GB,
-            seed=42,
-            conf={"monitor.network_bandwidth": 125 * MB},  # 1GbE
-        )
-        result = run_workload(trace, config)
-        assert result.transfers_committed > 0
-        assert (
-            result.transfer_realized_seconds
-            >= result.transfer_ideal_seconds * (1 - 1e-9)
-        )
 
     def test_io_network_bandwidth_conf_shapes_nic_resources(self):
         topology = build_local_cluster(num_workers=3)

@@ -6,7 +6,7 @@ from repro.cluster import DEFAULT_HIERARCHY, build_local_cluster
 from repro.common.config import Configuration
 from repro.common.units import GB, MB
 from repro.core import ReplicationManager
-from repro.core.monitor import transfer_seconds
+from repro.cluster.hardware import transfer_seconds
 from repro.core.policy import DowngradeAction
 from repro.dfs import DFSClient, Master, NodeManager, OctopusPlacementPolicy
 from repro.sim import Simulator

@@ -232,8 +232,9 @@ class TestPerTaskReads:
                 assert draw == float(reference.uniform(low, high))
 
     def test_start_map_overheads_follow_the_uniform_stream(self):
-        # Fair-share pricing with no CPU term: each map task's remaining
-        # delay is its overhead draw alone, in start order.
+        # Fair-share pricing with no CPU term: the delay each map task
+        # hands the I/O model (CPU time, then overhead) sums to its
+        # overhead draw alone, in start order.
         trace = read_trace(outputs=False)
         for job in trace.jobs:
             job.cpu_seconds_per_byte = 0.0
@@ -249,16 +250,16 @@ class TestPerTaskReads:
                 seed=11,
             ),
         )
-        scheduler = runner.scheduler
-        scheduler.task_overhead = (0.25, 3.5)
+        runner.scheduler.task_overhead = (0.25, 3.5)
         delays = []
-        start_map = scheduler._start_map
+        read = runner.iomodel.read
 
-        def recording_start(task, node_id):
-            start_map(task, node_id)
-            delays.append(task.delay)
+        def recording_read(*args, name):
+            cpu, overhead = args[6:]
+            delays.append(cpu + overhead)
+            read(*args, name=name)
 
-        scheduler._start_map = recording_start
+        runner.iomodel.read = recording_read
         runner.run()
         reference = np.random.default_rng(11)
         assert delays

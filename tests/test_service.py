@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,8 @@ from repro.workload.live import (
 )
 from repro.workload.scenarios import build_scenario
 from repro.workload.serialize import event_to_dict
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def jsonl(*records, header=True, end=True, name=None, duration=None):
@@ -212,9 +216,7 @@ class TestTenantMux:
         mux.end(session)
         mux.close_admissions()
         out = list(mux.events())
-        assert [event_signature(e) for e in out] == [
-            event_signature(e) for e in events
-        ]
+        assert [event_signature(e) for e in out] == [event_signature(e) for e in events]
         assert tenant.events_emitted == 2
         assert tenant.jobs_submitted == 1
 
@@ -354,9 +356,7 @@ class TestJsonSafety:
 
     def test_headerless_run_result_duration_is_none_mid_flight(self):
         text = jsonl(create(1.0), job(2.0), header=False)
-        runner = WorkloadRunner(
-            LiveStream(io.StringIO(text)), SystemConfig(label="x")
-        )
+        runner = WorkloadRunner(LiveStream(io.StringIO(text)), SystemConfig(label="x"))
         # Before the stream is exhausted, duration is open-ended.
         snap = runner.snapshot()
         assert snap.duration is None
@@ -468,16 +468,12 @@ class TestServiceEngine:
 
         # The final (post-drain) record carries complete metrics and
         # collapses with the stream-end record on load.
-        restarted = ServiceEngine(
-            SystemConfig(label="rlog2"), results_log=log_path
-        )
+        restarted = ServiceEngine(SystemConfig(label="rlog2"), results_log=log_path)
         assert len(restarted.past_tenants) == 1
         record = restarted.past_tenants[0]
         assert record["final"] is True
         assert record["tenant"]["id"] == tenant.tenant_id
-        assert record["tenant"]["jobs_finished"] == (
-            tenant.collector.jobs_completed
-        )
+        assert record["tenant"]["jobs_finished"] == tenant.collector.jobs_completed
         assert record["metrics"]["bytes_read"] == tenant.collector.bytes_read
 
     def test_drain_completes_in_flight_jobs(self):
@@ -492,9 +488,7 @@ class TestServiceEngine:
             end=False,  # producer never closes: drain must force it
         )
         stream = LiveStream(io.StringIO(text))
-        tenant = engine.attach_events(
-            stream.events(), name="inflight", source="inline"
-        )
+        tenant = engine.attach_events(stream.events(), name="inflight", source="inline")
         deadline = time.time() + 30.0
         while tenant.jobs_submitted < 2 and time.time() < deadline:
             time.sleep(0.05)
@@ -508,9 +502,7 @@ class TestServiceEngine:
 class TestDaemon:
     @pytest.fixture()
     def service(self):
-        service = TieringService(
-            SystemConfig(label="daemon"), drain_grace=5.0
-        )
+        service = TieringService(SystemConfig(label="daemon"), drain_grace=5.0)
         service.start()
         yield service
         service.stop()
@@ -536,14 +528,10 @@ class TestDaemon:
         }
 
         def produce(seed):
-            with socket.create_connection(
-                ("127.0.0.1", service.data_port)
-            ) as conn:
+            with socket.create_connection(("127.0.0.1", service.data_port)) as conn:
                 conn.sendall(texts[seed])
 
-        producers = [
-            threading.Thread(target=produce, args=(seed,)) for seed in texts
-        ]
+        producers = [threading.Thread(target=produce, args=(seed,)) for seed in texts]
         for producer in producers:
             producer.start()
         for producer in producers:
@@ -553,9 +541,7 @@ class TestDaemon:
         deadline = time.time() + 30.0
         while time.time() < deadline:
             tenants = service.engine.registry.list()
-            if len(tenants) == 2 and all(
-                t.state == "finished" for t in tenants
-            ):
+            if len(tenants) == 2 and all(t.state == "finished" for t in tenants):
                 break
             time.sleep(0.05)
         result = drain_and_wait(service)
@@ -563,14 +549,10 @@ class TestDaemon:
         assert len(tenants) == 2
         assert all(t.state == "finished" for t in tenants)
         assert all(t.collector.jobs_completed > 0 for t in tenants)
-        assert result.jobs_finished == sum(
-            t.collector.jobs_completed for t in tenants
-        )
+        assert result.jobs_finished == sum(t.collector.jobs_completed for t in tenants)
         # Per-tenant projections are served over the control plane.
         for tenant in tenants:
-            status, body = self.control(
-                service, f"/tenants/{tenant.tenant_id}/metrics"
-            )
+            status, body = self.control(service, f"/tenants/{tenant.tenant_id}/metrics")
             assert status == 200
             assert body["jobs_finished"] == tenant.collector.jobs_completed
 
@@ -638,10 +620,7 @@ class TestDaemon:
         assert "queue_delay_by_tier" in metrics["run"]
 
     def test_prometheus_endpoint(self, service):
-        url = (
-            f"http://127.0.0.1:{service.control_port}"
-            "/metrics?format=prometheus"
-        )
+        url = f"http://127.0.0.1:{service.control_port}/metrics?format=prometheus"
         with urllib.request.urlopen(url) as response:
             assert response.status == 200
             assert response.headers["Content-Type"].startswith("text/plain")
@@ -684,9 +663,7 @@ class TestDaemon:
         assert err.value.code == 404
 
     def test_shutdown_endpoint_drains(self, service):
-        self.control(
-            service, "/tenants", {"events": jsonl(create(0.0), job(1.0))}
-        )
+        self.control(service, "/tenants", {"events": jsonl(create(0.0), job(1.0))})
         status, body = self.control(service, "/shutdown", {"mode": "drain"})
         assert status == 202
         result = service.wait(timeout=120.0)
@@ -694,14 +671,19 @@ class TestDaemon:
         assert result.jobs_finished == 1
         # Admissions are closed once draining.
         with pytest.raises(urllib.error.HTTPError) as err:
-            self.control(
-                service, "/tenants", {"events": jsonl(create(0.0), job(1.0))}
-            )
+            self.control(service, "/tenants", {"events": jsonl(create(0.0), job(1.0))})
         assert err.value.code == 409
 
 
 class TestServeCommand:
     def test_sigterm_drains_and_reports(self, tmp_path):
+        # The child imports repro from the checkout's ``src``, whatever
+        # the parent's PYTHONPATH (pytest's own ``pythonpath`` setting
+        # does not reach a subprocess).
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -713,6 +695,7 @@ class TestServeCommand:
                 "--workers",
                 "4",
             ],
+            env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
