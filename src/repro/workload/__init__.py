@@ -8,7 +8,7 @@ substitution rationale).
 
 from repro.workload.bins import BINS, BIN_NAMES, SizeBin, bin_for_size
 from repro.workload.dfsio import DfsioSpec
-from repro.workload.external import ExternalTraceStream, load_stream
+from repro.workload.external import ExternalTraceStream
 from repro.workload.jobs import (
     FileCreation,
     FileDeletion,
@@ -80,5 +80,4 @@ __all__ = [
     "get_scenario",
     "build_scenario",
     "ExternalTraceStream",
-    "load_stream",
 ]

@@ -5,13 +5,15 @@ exports) can be replayed through the full system by converting them to
 one of two formats and wrapping the file in
 :class:`ExternalTraceStream`.  Ingestion is lazy — lines are decoded one
 at a time — so trace length is bounded by disk, not memory.  Both
-formats are transparently gzip-decompressed for ``*.gz`` paths.
+formats are UTF-8, gzip-decompressed for ``*.gz`` paths.
 
 The normative schemas live in ``docs/stream-protocol.md``:
 
 * **JSONL** (``*.jsonl`` / ``*.jsonl.gz``) — one event object per line,
   the wire format of :func:`repro.workload.serialize.event_to_dict`,
-  with an optional header and end-sentinel line;
+  with an optional header and end-sentinel line, decoded by the record
+  reader of :class:`~repro.workload.live.LiveStream` (the same framing
+  rules and errors as a live transport);
 * **CSV** (``*.csv`` / ``*.csv.gz``) — a header row naming the columns,
   one event per row, at most one output per job.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.workload.jobs import (
     FileCreation,
@@ -38,10 +40,11 @@ from repro.workload.jobs import (
     StreamEvent,
     TraceJob,
 )
-from repro.workload.serialize import _open_text, iter_events, read_stream_header
+from repro.workload.serialize import _open_text
 from repro.workload.streams import (
     StreamStats,
     WorkloadStream,
+    fill_input_sizes,
     number_jobs,
     ordered,
 )
@@ -108,27 +111,6 @@ def iter_csv_events(path: str) -> Iterator[StreamEvent]:
                 raise ValueError(f"{path}:{row_no}: bad trace row: {exc}") from exc
 
 
-def fill_input_sizes(events: Iterator[StreamEvent]) -> Iterator[StreamEvent]:
-    """Infer missing job input sizes from the files created so far.
-
-    Shared by file ingestion and live replay
-    (:class:`repro.workload.live.LiveStream`) so both apply identical
-    conveniences to the same wire schema.
-    """
-    sizes: Dict[str, int] = {}
-    for event in events:
-        if isinstance(event, FileCreation):
-            sizes[event.path] = event.size
-        elif isinstance(event, TraceJob):
-            for output in event.outputs:
-                sizes[output.path] = output.size
-            if event.input_size <= 0:
-                event.input_size = sum(
-                    sizes.get(path, 0) for path in event.input_paths
-                )
-        yield event
-
-
 class ExternalTraceStream(WorkloadStream):
     """A CSV/JSONL trace file as a :class:`WorkloadStream`.
 
@@ -156,18 +138,22 @@ class ExternalTraceStream(WorkloadStream):
         self.fmt = fmt or detect_format(path)
         if self.fmt not in ("jsonl", "csv"):
             raise ValueError(f"unknown trace format {self.fmt!r}")
-        header = read_stream_header(path) if self.fmt == "jsonl" else {}
+        header = {}
+        if self.fmt == "jsonl":
+            with open(path, "rb") as handle:
+                header = self._reader(handle).header
         if name is None:
             name = header.get("name") or _stem(path)
         self.name = name
-        if duration is None and "duration" in header:
-            duration = float(header["duration"])
+        if duration is None:
+            duration = header.get("duration")
         self._duration = None if duration is None else float(duration)
         #: Cached unbounded statistics pass (see class docstring).
         self._stats: Optional[StreamStats] = None
 
     @property
     def duration(self) -> float:
+        """The header or explicit duration, else the last event time."""
         if self._duration is None:
             # The duration scan has to decode every event anyway, so run
             # it as the full statistics walk and cache that too — a
@@ -175,17 +161,29 @@ class ExternalTraceStream(WorkloadStream):
             self._duration = self.stats().last_time
         return self._duration
 
+    def _reader(self, handle):
+        """The JSONL reader over ``handle``: header read, errors name the file."""
+        # Imported on use: runs that read no trace file skip the transports.
+        from repro.workload.live import LiveStream
+
+        compression = "gzip" if self.path.endswith(".gz") else None
+        return LiveStream(handle, name=self.path, compression=compression)
+
     def _raw_events(self) -> Iterator[StreamEvent]:
-        if self.fmt == "jsonl":
-            return iter_events(self.path)
-        return iter_csv_events(self.path)
+        if self.fmt == "csv":
+            yield from iter_csv_events(self.path)
+            return
+        with open(self.path, "rb") as handle:
+            yield from self._reader(handle)._raw_events()
 
     def events(self) -> Iterator[StreamEvent]:
+        """Decode the file afresh: ordered, sizes filled, jobs numbered."""
         return number_jobs(
             fill_input_sizes(ordered(self._raw_events(), name=self.name))
         )
 
     def stats(self, max_events: Optional[int] = None) -> StreamStats:
+        """One decode pass of statistics; the unbounded pass is cached."""
         # Not via super(): the base implementation reads self.duration,
         # which would force the full-file scan a bounded pass avoids.
         if max_events is None and self._stats is not None:
@@ -210,8 +208,3 @@ def _stem(path: str) -> str:
         if base.endswith(suffix):
             return base[: -len(suffix)]
     return base
-
-
-def load_stream(path: str, **kwargs) -> ExternalTraceStream:
-    """Convenience alias: open an external trace as a stream."""
-    return ExternalTraceStream(path, **kwargs)

@@ -2,9 +2,8 @@
 
 :class:`LiveStream` turns a *running* event producer into a
 :class:`~repro.workload.streams.WorkloadStream`: it decodes the
-streaming JSONL wire schema (the same line format
-:mod:`repro.workload.serialize` writes and
-:mod:`repro.workload.external` ingests — see ``docs/stream-protocol.md``)
+streaming JSONL wire schema (the line format
+:mod:`repro.workload.serialize` writes — see ``docs/stream-protocol.md``)
 line by line from a pipe, FIFO, socket, or any file-like object, and the
 runner's one-event-lookahead pump drives it exactly like an offline
 stream.  This is the online half of the paper's claim: policies adapt
@@ -26,9 +25,9 @@ being a live transport rather than a seekable file:
   and handled by the ``late`` policy: ``"clamp"`` (default) rewrites its
   timestamp to the last emitted time, ``"drop"`` discards it, ``"error"``
   raises :class:`~repro.workload.streams.StreamOrderError`.
-* **End-of-stream sentinel** — a ``{"kind": "end"}`` line terminates the
-  stream cleanly; EOF works too, but sockets and long-lived pipes cannot
-  always deliver one promptly.
+* **Truncation** — on a non-seekable source a final line without its
+  newline means the producer died mid-record, and the stream fails;
+  a ``{"kind": "end"}`` sentinel ends such a stream cleanly.
 * **Unknown duration** — when the header carries no duration the stream
   reports ``float("inf")`` and the runner ends the submission window
   when the stream is exhausted instead of at a nominal end time.
@@ -40,12 +39,12 @@ being a live transport rather than a seekable file:
   long-lived multi-tenant daemon built on top of this module lives in
   :mod:`repro.service` (``repro serve``).
 
-Replay fidelity: events pass through the same
-:func:`~repro.workload.external.fill_input_sizes` /
-:func:`~repro.workload.streams.number_jobs` conveniences as file
-ingestion, so live replay of a serialized scenario is event-for-event
-identical to replaying the same file offline (property-tested in
-``tests/test_live.py``).
+Its record reader is the package's only JSONL decoder: trace files
+(:class:`~repro.workload.external.ExternalTraceStream`) and service
+tenants use it too, so every entry point shares its framing rules and
+its ``<source>: <problem> at line N`` errors, and live replay of a
+serialized scenario is event-for-event identical to replaying the file
+offline (property-tested in ``tests/test_live.py``).
 """
 
 from __future__ import annotations
@@ -57,10 +56,9 @@ import json
 import socket as socket_module
 import sys
 import time as time_module
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, IO, Iterator, List, Optional, Tuple, Union
 
-from repro.workload.external import fill_input_sizes
 from repro.workload.jobs import (
     StreamEvent,
     TraceJob,
@@ -72,7 +70,12 @@ from repro.workload.serialize import (
     EVENT_FORMAT_VERSION,
     event_from_dict,
 )
-from repro.workload.streams import StreamOrderError, WorkloadStream, number_jobs
+from repro.workload.streams import (
+    StreamOrderError,
+    WorkloadStream,
+    fill_input_sizes,
+    number_jobs,
+)
 
 LATE_POLICIES = ("clamp", "drop", "error")
 
@@ -118,17 +121,7 @@ class LiveStats:
 
     def as_dict(self) -> Dict[str, Any]:
         """The counters as a flat JSON-ready mapping."""
-        return {
-            "events_received": self.events_received,
-            "events_emitted": self.events_emitted,
-            "events_reordered": self.events_reordered,
-            "max_disorder_seconds": self.max_disorder_seconds,
-            "events_late": self.events_late,
-            "events_dropped": self.events_dropped,
-            "events_clamped": self.events_clamped,
-            "max_buffer_depth": self.max_buffer_depth,
-            "end_sentinel_seen": self.end_sentinel_seen,
-        }
+        return asdict(self)
 
 
 def open_live_source(
@@ -260,12 +253,12 @@ def _wrap_compression(handle, compression: Optional[str]) -> IO[str]:
     """Text-mode view of ``handle``, gunzipping on the fly if asked."""
     if compression not in (None, "gzip"):
         raise ValueError(f"unknown compression {compression!r}; want gzip or None")
+    # JSON text is UTF-8 whatever the host locale says.
     if compression == "gzip":
-        raw = getattr(handle, "buffer", handle)
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw, mode="rb"))
+        return gzip.open(getattr(handle, "buffer", handle), "rt", encoding="utf-8")
     if isinstance(handle, io.TextIOBase) or hasattr(handle, "encoding"):
         return handle
-    return io.TextIOWrapper(handle)
+    return io.TextIOWrapper(handle, encoding="utf-8")
 
 
 def _clamped(event: StreamEvent, time: float) -> StreamEvent:
@@ -320,23 +313,25 @@ class LiveStream(WorkloadStream):
         self._consumed = False
         self._line_no = 0
         self._pushback: Optional[Dict[str, Any]] = None
+        # Until a header names the workload, errors name the source.
+        self.name = name or (source if isinstance(source, str) else "live")
         try:
-            header = self._read_header()
+            #: The header record as read (``{}`` when the stream has none).
+            self.header = self._read_header()
         except Exception:
             # No stream object reaches the caller, so a transport this
             # module opened would otherwise leak.
             self.close()
             raise
         if name is None:
-            name = header.get("name") or "live"
-        self.name = name
+            self.name = self.header.get("name") or "live"
         if duration is None:
-            duration = header.get("duration")
+            duration = self.header.get("duration")
         self.duration = float("inf") if duration is None else float(duration)
 
     # -- wire decoding -------------------------------------------------------
     def _read_record(self) -> Optional[Dict[str, Any]]:
-        """The next decoded JSONL record, or None at end of stream."""
+        """The next JSONL record as a dict, or None at end of stream."""
         if self._pushback is not None:
             record, self._pushback = self._pushback, None
             return record
@@ -364,37 +359,59 @@ class LiveStream(WorkloadStream):
                 f"(no trailing newline): {stripped[:80]!r}"
             )
         try:
-            return json.loads(stripped)
+            record = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"{self.name}: corrupt record at line {self._line_no}: {exc}"
             ) from exc
+        if type(record) is dict:
+            return record
+        # Rejected here so that a bare ``null`` line cannot pass for EOF.
+        raise ValueError(
+            f"{self.name}: bad record at line {self._line_no}: not an object"
+        )
 
     def _read_header(self) -> Dict[str, Any]:
+        """The leading header record, or ``{}`` (pushing back what it read)."""
         record = self._read_record()
-        if record is None:
-            return {}
-        if record.get("kind") != "header":
+        if record is None or record.get("kind") != "header":
             self._pushback = record
             return {}
         version = record.get("format_version")
         if version != EVENT_FORMAT_VERSION:
-            raise ValueError(f"unsupported stream format version: {version!r}")
+            raise ValueError(
+                f"{self.name}: unsupported stream format version {version!r} "
+                f"at line {self._line_no}"
+            )
+        try:
+            float(record.get("duration") or 0)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{self.name}: bad header at line {self._line_no}: duration: {exc}"
+            ) from exc
         return record
 
     def _raw_events(self) -> Iterator[StreamEvent]:
+        """Decode records into events, in arrival order, until EOF or ``end``."""
         while True:
             record = self._read_record()
             if record is None:
                 return
-            if record.get("kind") == END_KIND:
+            kind = record.get("kind")
+            if kind == END_KIND:
                 self.live_stats.end_sentinel_seen = True
                 return
-            if record.get("kind") == "header":
+            if kind == "header":
                 raise ValueError(
-                    f"{self.name}: header after line 1 (line {self._line_no})"
+                    f"{self.name}: misplaced header at line {self._line_no}"
                 )
-            yield event_from_dict(record)
+            try:
+                event = event_from_dict(record)
+            except Exception as exc:  # whatever the decode raises, it is the record
+                raise ValueError(
+                    f"{self.name}: bad record at line {self._line_no}: {exc!r}"
+                ) from exc
+            yield event
 
     # -- reorder buffer ------------------------------------------------------
     def _reordered(self) -> Iterator[StreamEvent]:

@@ -1,15 +1,17 @@
-"""Trace import/export in the streaming JSONL format.
+"""The streaming JSONL format: event codec and writer.
 
-:func:`save_events` / :func:`iter_events` / :class:`EventWriter` write
-and read one event per line, incrementally, transparently
-gzip-compressed for ``*.gz`` paths.  An optional header line carries
-the workload name and duration; an optional ``{"kind": "end"}``
-sentinel line marks a clean end of stream (pipes and sockets cannot
-always rely on EOF).  This is the on-disk *and* on-the-wire form of the
-stream protocol (:mod:`repro.workload.streams`,
-:mod:`repro.workload.live`) and the JSONL half of the external trace
-schema (:mod:`repro.workload.external`).  The full line schema is
-specified in ``docs/stream-protocol.md``.
+:func:`event_to_dict` / :func:`event_from_dict` map one event to and
+from its line schema; :func:`save_events` and :class:`EventWriter`
+write events one line at a time, UTF-8, gzip-compressed for ``*.gz``
+paths.  An optional header line carries the workload name and duration;
+an optional ``{"kind": "end"}`` sentinel line marks a clean end of
+stream (pipes and sockets cannot always rely on EOF).  This is the
+on-disk *and* on-the-wire form of the stream protocol
+(:mod:`repro.workload.streams`).  Every reader of it — trace files
+(:mod:`repro.workload.external`), pipes, sockets and service tenants —
+goes through the one record reader of :mod:`repro.workload.live`.  The
+full line schema and the framing rules are specified in
+``docs/stream-protocol.md``.
 
 Synthesized workloads are deterministic given a seed, but exporting a
 trace pins the exact event sequence for sharing, regression baselines,
@@ -21,7 +23,7 @@ from __future__ import annotations
 import gzip
 import json
 import sys
-from typing import Any, Dict, IO, Iterable, Iterator, Optional, Union
+from typing import Any, Dict, IO, Iterable, Optional, Union
 
 from repro.workload.jobs import (
     FileCreation,
@@ -40,10 +42,10 @@ END_KIND = "end"
 
 
 def _open_text(path: str, mode: str) -> IO[str]:
-    """Open ``path`` for text I/O, transparently gzipped for ``*.gz``."""
+    """Open ``path`` for UTF-8 text I/O, transparently gzipped for ``*.gz``."""
     if path.endswith(".gz"):
-        return gzip.open(path, mode + "t")
-    return open(path, mode)
+        return gzip.open(path, mode + "t", encoding="utf-8")
+    return open(path, mode, encoding="utf-8")
 
 
 def event_to_dict(event: StreamEvent) -> Dict[str, Any]:
@@ -157,10 +159,12 @@ class EventWriter:
             self._handle.flush()
 
     def write(self, event: StreamEvent) -> None:
+        """Append one event as a line."""
         self._write_line(event_to_dict(event))
         self.events_written += 1
 
     def write_all(self, events: Iterable[StreamEvent]) -> int:
+        """Append every event; returns the writer's running event count."""
         for event in events:
             self.write(event)
         return self.events_written
@@ -221,39 +225,3 @@ def save_events(
         if end_sentinel:
             writer.write_end()
         return written
-
-
-def read_stream_header(path: str) -> Dict[str, Any]:
-    """The header dict of a JSONL trace (``{}`` if the file has none)."""
-    with _open_text(path, "r") as handle:
-        first = handle.readline()
-    if not first:
-        return {}
-    record = json.loads(first)
-    if record.get("kind") != "header":
-        return {}
-    version = record.get("format_version")
-    if version != EVENT_FORMAT_VERSION:
-        raise ValueError(f"unsupported stream format version: {version!r}")
-    return record
-
-
-def iter_events(path: str) -> Iterator[StreamEvent]:
-    """Lazily yield the events of a JSONL trace (header line skipped).
-
-    Memory is O(1): lines are decoded one at a time, so arbitrarily long
-    traces replay without materialization.
-    """
-    with _open_text(path, "r") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("kind") == "header":
-                if line_no != 1:
-                    raise ValueError(f"{path}:{line_no}: header after first line")
-                continue
-            if record.get("kind") == END_KIND:
-                return
-            yield event_from_dict(record)

@@ -118,6 +118,7 @@ class StreamStats:
     )
 
     def add(self, event: StreamEvent) -> None:
+        """Fold one event into the aggregates."""
         t = event_time(event)
         if self.events == 0:
             self.first_time = t
@@ -145,6 +146,7 @@ class TraceStream(WorkloadStream):
         self.duration = trace.duration
 
     def events(self) -> Iterator[StreamEvent]:
+        """The trace's events, merged in time order."""
         return self.trace.events()
 
 
@@ -175,6 +177,7 @@ class SynthesizedStream(WorkloadStream):
         self._trace: Optional[Trace] = None
 
     def materialize(self) -> Trace:
+        """Synthesize the trace once; later calls return the cached one."""
         if self._trace is None:
             from repro.workload.synthesis import synthesize_trace
 
@@ -184,6 +187,7 @@ class SynthesizedStream(WorkloadStream):
         return self._trace
 
     def events(self) -> Iterator[StreamEvent]:
+        """The cached synthesized trace's events, in time order."""
         return self.materialize().events()
 
 
@@ -203,6 +207,7 @@ class GeneratedStream(WorkloadStream):
         self._factory = factory
 
     def events(self) -> Iterator[StreamEvent]:
+        """A fresh run of the factory, order-checked and job-numbered."""
         return number_jobs(ordered(self._factory(), name=self.name))
 
 
@@ -231,6 +236,23 @@ def number_jobs(events: Iterable[StreamEvent]) -> Iterator[StreamEvent]:
             if event.job_id < 0:
                 event.job_id = next_id
             next_id += 1
+        yield event
+
+
+def fill_input_sizes(events: Iterable[StreamEvent]) -> Iterator[StreamEvent]:
+    """Infer omitted or zero job input sizes from the files created so
+    far (by creations and job outputs; O(files) state)."""
+    sizes: Dict[str, int] = {}
+    for event in events:
+        if isinstance(event, FileCreation):
+            sizes[event.path] = event.size
+        elif isinstance(event, TraceJob):
+            for output in event.outputs:
+                sizes[output.path] = output.size
+            if event.input_size <= 0:
+                event.input_size = sum(
+                    sizes.get(path, 0) for path in event.input_paths
+                )
         yield event
 
 

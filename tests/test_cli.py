@@ -56,8 +56,8 @@ class TestCommands:
     def test_synthesize_writes_json(self, tmp_path, capsys):
         # Traces are written as JSONL only; other suffixes are rejected
         # before anything is synthesized or written.
+        from repro.workload.external import ExternalTraceStream
         from repro.workload.jobs import TraceJob
-        from repro.workload.serialize import iter_events, read_stream_header
 
         args = ["synthesize", "--workload", "CMU", "--scale", "0.05", "--out"]
         rejected = tmp_path / "trace.json"
@@ -66,8 +66,9 @@ class TestCommands:
         assert not rejected.exists()
         out_path = tmp_path / "trace.jsonl"
         assert main(args + [str(out_path)]) == 0
-        assert read_stream_header(str(out_path))["name"] == "CMU"
-        assert any(isinstance(e, TraceJob) for e in iter_events(str(out_path)))
+        stream = ExternalTraceStream(str(out_path))
+        assert stream.name == "CMU"
+        assert any(isinstance(e, TraceJob) for e in stream.events())
 
 
 class TestListDiscovery:

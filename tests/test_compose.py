@@ -53,7 +53,7 @@ from repro.workload.jobs import (
     event_sort_key,
     event_time,
 )
-from repro.workload.streams import StreamOrderError, merge_timed_sources
+from repro.workload.streams import StreamOrderError, merge_timed_sources, number_jobs
 
 #: Distinct-namespace generated leaves (each scenario has its own /data
 #: prefix, so isolate=False compositions of *different* names are safe).
@@ -298,7 +298,8 @@ def test_merge_and_writer_roundtrip_preserve_deletion_ordering(tmp_path):
     writer), and the tie rule is why ``overlay`` namespace-isolates by
     default.
     """
-    from repro.workload.serialize import iter_events, save_events
+    from repro.workload.external import ExternalTraceStream
+    from repro.workload.serialize import save_events
 
     source_a = [
         FileCreation("/shared/a", 10, 0.0),
@@ -314,8 +315,9 @@ def test_merge_and_writer_roundtrip_preserve_deletion_ordering(tmp_path):
 
     path = str(tmp_path / "merged.jsonl")
     save_events(merged, path, name="merged", duration=200.0)
-    replayed = list(iter_events(path))
-    assert [repr(e) for e in replayed] == [repr(e) for e in merged], (
+    replayed = list(ExternalTraceStream(path).events())
+    # Reading numbers the jobs (they were written with id -1).
+    assert [repr(e) for e in replayed] == [repr(e) for e in number_jobs(merged)], (
         "the EventWriter round-trip must preserve event order exactly, "
         "deletions included"
     )

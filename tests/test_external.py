@@ -1,6 +1,10 @@
 """Tests for external trace ingestion (CSV/JSONL adapters)."""
 
 import gzip
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +13,14 @@ from repro.workload.external import (
     ExternalTraceStream,
     detect_format,
     iter_csv_events,
-    load_stream,
 )
 from repro.workload.jobs import FileCreation, FileDeletion, TraceJob
 from repro.workload.profiles import FB_PROFILE, scaled_profile
 from repro.workload.serialize import save_events
 from repro.workload.streams import StreamOrderError
 from repro.workload.synthesis import synthesize_trace
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 CSV_TEXT = """\
 kind,time,path,bytes,inputs,output_path,output_bytes,cpu_seconds_per_byte
@@ -110,7 +115,7 @@ class TestJsonlIngestion:
         trace = synthesize_trace(scaled_profile(FB_PROFILE, 0.05), seed=6)
         path = str(tmp_path / "fb.jsonl.gz")
         save_events(trace, path)
-        stream = load_stream(path)
+        stream = ExternalTraceStream(path)
         assert stream.name == "FB"
         assert stream.duration == trace.duration
         assert list(stream.events()) == list(trace.events())
@@ -130,7 +135,7 @@ class TestJsonlIngestion:
             )
 
         direct = run_workload(trace, config())
-        ingested = run_workload(load_stream(path), config())
+        ingested = run_workload(ExternalTraceStream(path), config())
         assert ingested.fingerprint() == direct.fingerprint()
 
     def test_explicit_format_and_duration(self, tmp_path):
@@ -146,3 +151,41 @@ class TestJsonlIngestion:
         save_events([], path)
         with pytest.raises(ValueError, match="unknown trace format"):
             ExternalTraceStream(path, fmt="xml")
+
+
+UTF8_CHILD = """
+import sys
+from repro.workload.external import ExternalTraceStream
+from repro.workload.live import LiveStream
+
+jsonl, csv = sys.argv[1:]
+streams = [ExternalTraceStream(jsonl), ExternalTraceStream(csv)]
+with open(jsonl, "rb") as handle:
+    streams.append(LiveStream(handle))
+    print(ascii([[event.path for event in s.events()] for s in streams]))
+"""
+
+
+def test_wire_format_is_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale without UTF-8 mode, Python's default text
+    # encoding is ASCII; trace files must still decode as UTF-8.
+    path = "/données/é"
+    jsonl = tmp_path / "trace.jsonl"
+    jsonl.write_bytes(
+        f'{{"kind": "create", "time": 1.0, "path": "{path}", "bytes": 5}}\n'.encode()
+    )
+    csv = tmp_path / "trace.csv"
+    csv.write_bytes(f"kind,time,path,bytes\ncreate,1.0,{path},5\n".encode())
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", UTF8_CHILD, str(jsonl), str(csv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ascii([[path]] * 3)

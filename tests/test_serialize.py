@@ -10,14 +10,17 @@ from repro.ml.serialize import (
     model_to_dict,
     save_model,
 )
-from repro.workload import FB_PROFILE, scaled_profile, synthesize_trace
+from repro.workload import (
+    FB_PROFILE,
+    ExternalTraceStream,
+    scaled_profile,
+    synthesize_trace,
+)
 from repro.workload.jobs import FileCreation, FileDeletion, OutputSpec, TraceJob
 from repro.workload.serialize import (
     EventWriter,
     event_from_dict,
     event_to_dict,
-    iter_events,
-    read_stream_header,
     save_events,
 )
 
@@ -113,12 +116,12 @@ class TestStreamingJsonl:
         trace = synthesize_trace(scaled_profile(FB_PROFILE, 0.05), seed=3)
         path = str(tmp_path / f"trace.{suffix}")
         written = save_events(trace, path)
-        events = list(iter_events(path))
+        stream = ExternalTraceStream(path)
+        events = list(stream.events())
         assert written == len(events)
         assert events == list(trace.events())
-        header = read_stream_header(path)
-        assert header["name"] == trace.name
-        assert header["duration"] == trace.duration
+        assert stream.name == trace.name
+        assert stream.duration == trace.duration
 
     def test_append_writer_continues_a_file(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -127,7 +130,9 @@ class TestStreamingJsonl:
         with EventWriter(path, append=True) as writer:
             writer.write_all(SAMPLE_EVENTS[1:])
             assert writer.events_written == 2
-        assert list(iter_events(path)) == SAMPLE_EVENTS
+        stream = ExternalTraceStream(path)
+        assert stream.name == "t" and stream.duration == 10.0
+        assert list(stream.events()) == SAMPLE_EVENTS
 
     def test_write_after_close_rejected(self, tmp_path):
         writer = EventWriter(str(tmp_path / "t.jsonl"))
@@ -138,14 +143,15 @@ class TestStreamingJsonl:
     def test_headerless_file_readable(self, tmp_path):
         path = tmp_path / "raw.jsonl"
         path.write_text('{"kind": "create", "time": 1.0, "path": "/a", "bytes": 5}\n')
-        assert read_stream_header(str(path)) == {}
-        assert list(iter_events(str(path))) == [FileCreation("/a", 5, 1.0)]
+        stream = ExternalTraceStream(str(path))
+        assert stream.name == "raw"  # no header: the file stem
+        assert list(stream.events()) == [FileCreation("/a", 5, 1.0)]
 
     def test_bad_stream_version_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "header", "format_version": 99}\n')
-        with pytest.raises(ValueError, match="version"):
-            read_stream_header(str(path))
+        with pytest.raises(ValueError, match="bad.jsonl: unsupported stream format"):
+            ExternalTraceStream(str(path))
 
     def test_misplaced_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -153,8 +159,8 @@ class TestStreamingJsonl:
             '{"kind": "create", "time": 1.0, "path": "/a", "bytes": 5}\n'
             '{"kind": "header", "format_version": 1}\n'
         )
-        with pytest.raises(ValueError, match="header after first line"):
-            list(iter_events(str(path)))
+        with pytest.raises(ValueError, match="bad.jsonl: misplaced header at line 2"):
+            list(ExternalTraceStream(str(path)).events())
 
     def test_save_events_is_streaming(self, tmp_path):
         """save_events drains a generator without materializing it."""
@@ -165,4 +171,4 @@ class TestStreamingJsonl:
 
         path = str(tmp_path / "gen.jsonl")
         assert save_events(generator(), path, name="gen", duration=9.0) == 3
-        assert list(iter_events(path)) == SAMPLE_EVENTS
+        assert list(ExternalTraceStream(path).events()) == SAMPLE_EVENTS

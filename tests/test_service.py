@@ -24,6 +24,7 @@ from repro.service import (
     json_safe,
     result_to_dict,
 )
+from repro.workload.external import ExternalTraceStream
 from repro.workload.jobs import FileCreation, FileDeletion, TraceJob, event_time
 from repro.workload.live import (
     MAX_RECORD_LENGTH,
@@ -60,6 +61,9 @@ def job(t, paths=("/data/a",)):
     return {"kind": "job", "time": t, "inputs": list(paths)}
 
 
+END = {"kind": "end"}
+
+
 def scenario_jsonl(name="fb", scale=0.03, seed=11, duration=None):
     """A serialized scenario as JSONL text (headerless duration unless set)."""
     stream = build_scenario(name, scale=scale, seed=seed)
@@ -70,6 +74,38 @@ def scenario_jsonl(name="fb", scale=0.03, seed=11, duration=None):
     lines += [json.dumps(event_to_dict(ev)) for ev in stream.events()]
     lines.append(json.dumps({"kind": "end"}))
     return "\n".join(lines) + "\n"
+
+
+def wire(*lines):
+    """Wire bytes from JSON-able records (str lines are sent verbatim)."""
+    return b"".join(
+        (line if isinstance(line, str) else json.dumps(line)).encode() + b"\n"
+        for line in lines
+    )
+
+
+HEADER = {"kind": "header", "format_version": 1}
+
+#: Wire inputs every JSONL entry point must treat alike: the bytes, and
+#: the line the reader must reject (None for a valid stream).
+WIRE_CASES = {
+    "valid": (
+        wire(HEADER, create(1.0), "", job(2.0), "   ", create(3.0, "/b"), END),
+        None,
+    ),
+    "corrupt line": (wire(HEADER, create(1.0), '{"kind": "job", "ti'), 3),
+    "oversized record": (
+        wire(HEADER, create(1.0), {**create(2.0), "pad": "x" * MAX_RECORD_LENGTH}),
+        3,
+    ),
+    "misplaced header": (wire(create(1.0), HEADER), 2),
+    "bad version": (wire({**HEADER, "format_version": 99}, create(1.0)), 1),
+    "bad duration": (wire({**HEADER, "duration": "soon"}, create(1.0)), 1),
+    "missing field": (wire(HEADER, {"kind": "create", "time": 1.0, "bytes": 5}), 2),
+    "null inputs": (wire(HEADER, create(1.0), {**job(2.0), "inputs": None}), 3),
+    "non-object line": (wire(HEADER, create(1.0), "[1, 2]"), 3),
+    "null line": (wire(HEADER, "null", create(1.0)), 2),
+}
 
 
 def event_signature(event):
@@ -605,6 +641,48 @@ class TestDaemon:
         assert json.dumps(metrics, sort_keys=True) == json.dumps(
             solo_metrics, sort_keys=True
         )
+
+    @pytest.mark.parametrize(
+        "case", sorted(WIRE_CASES), ids=lambda case: case.replace(" ", "-")
+    )
+    def test_one_reader_for_files_streams_and_tenants(self, tmp_path, case):
+        # The same bytes as a trace file, a LiveStream and a served
+        # tenant: equal events when valid, else the same error (only the
+        # source prefix differs for the file).
+        data, line = WIRE_CASES[case]
+        path = tmp_path / "wire.jsonl"
+        path.write_bytes(data)
+        engine = ServiceEngine(SystemConfig(label="wire"))
+        applied = capture_applied(engine.runner)
+        engine.start()
+        ours, theirs = socket.socketpair()
+        tenant = engine.attach_socket(ours, "peer", isolate=False)
+        try:
+            theirs.sendall(data)
+        except OSError:
+            pass  # the feeder may hang up on a record it rejects
+        theirs.close()
+        deadline = time.time() + 30.0
+        while tenant.state not in ("finished", "failed") and time.time() < deadline:
+            time.sleep(0.02)
+        engine.begin_drain(grace=5.0)
+        engine.join(timeout=60.0)
+
+        if line is None:
+            file_events = list(ExternalTraceStream(str(path)).events())
+            live_events = list(LiveStream(io.BytesIO(data)).events())
+            assert tenant.state == "finished"
+            assert [event_signature(e) for e in file_events] == applied
+            assert [event_signature(e) for e in live_events] == applied
+            return
+        with pytest.raises(ValueError, match=f"at line {line}\\b") as live:
+            list(LiveStream(io.BytesIO(data)).events())
+        with pytest.raises(ValueError) as offline:
+            list(ExternalTraceStream(str(path)).events())
+        assert str(live.value).startswith("live: ")
+        assert str(offline.value) == str(live.value).replace("live", str(path), 1)
+        assert tenant.state == "failed"
+        assert tenant.error == str(live.value)
 
     def test_healthz_and_metrics_endpoints(self, service):
         status, health = self.control(service, "/healthz")
