@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 from repro.cluster.hardware import TierSpec, transfer_seconds
 from repro.common.config import Configuration
 from repro.dfs.block import BlockInfo, ReplicaInfo
-from repro.dfs.master import Master, TransferTicket
+from repro.dfs.master import Master
 from repro.dfs.namespace import INodeFile
 from repro.dfs.placement import PlacementPolicy
 from repro.core.policy import DowngradeAction
@@ -30,7 +30,13 @@ if TYPE_CHECKING:  # imported lazily to avoid a core <-> engine cycle
 
 
 class ReplicationMonitor:
-    """Executes and accounts replica movement."""
+    """Executes and accounts replica movement.
+
+    Every kind of transfer (downgrade, upgrade, cache copy, repair) runs
+    one begin/land pair, :meth:`_transfer`, whose one completion closure
+    commits or aborts: every ``migration_start`` ends in exactly one
+    ``migration_commit`` or ``migration_abort``.
+    """
 
     #: Optional decision tracer (:class:`repro.obs.trace.Tracer`),
     #: installed by the runner when ``obs.trace`` is set; ``None`` keeps
@@ -89,6 +95,8 @@ class ReplicationMonitor:
 
     # -- views used by policies ---------------------------------------------
     def in_flight_files(self) -> Set[int]:
+        """Inode ids of files with a downgrade, upgrade or cache copy in
+        flight (policies skip them; repairs do not mark their file)."""
         return set(self._in_flight)
 
     @property
@@ -155,9 +163,7 @@ class ReplicationMonitor:
                 # (Definition 1 allows it) when the block stays available.
                 scheduled += self._delete_replica_if_safe(replica, from_tier)
                 continue
-            scheduled += self._schedule_move(
-                file, block, replica, target, downgrade=True
-            )
+            scheduled += self._transfer("downgrade", file, block, replica, target)
         return scheduled
 
     def _delete_replica_if_safe(self, replica: ReplicaInfo, tier: TierSpec) -> int:
@@ -209,38 +215,67 @@ class ReplicationMonitor:
                     target = self.placement.select_cache_target(block, tier)
                     if target is None:
                         continue
-                    scheduled += self._schedule_copy(file, block, source, target)
+                    scheduled += self._transfer("cache", file, block, source, target)
                 else:
                     target = self.placement.select_transfer_target(
                         block, source, [tier]
                     )
                     if target is None:
                         continue
-                    scheduled += self._schedule_move(
-                        file, block, source, target, downgrade=False
-                    )
+                    scheduled += self._transfer("upgrade", file, block, source, target)
                 break
         return scheduled
 
-    def _run_transfer(
+    # -- the one transfer lifecycle ----------------------------------------------------
+    def _transfer(
         self,
+        kind: str,
+        file: INodeFile,
         block: BlockInfo,
         source: ReplicaInfo,
         target,
-        finish,
-        name: str,
-    ) -> None:
-        """Time one replica transfer and fire ``finish`` when it lands.
+    ) -> int:
+        """Begin copying ``block`` from ``source`` to ``target``; land it later.
 
-        The I/O model times it: under fair share it is a flow (reads the
-        source device, writes the target, crosses NICs/endpoints) that
-        experiences, and causes, real contention; under snapshot it
-        takes the standalone duration.  The ideal is that standalone
-        duration at the I/O model's own network bandwidth, so realized
-        >= ideal holds under both models.
+        ``kind`` is ``downgrade`` or ``upgrade`` (a move: the source
+        replica is dropped at commit), ``cache`` or ``repair`` (a copy:
+        it stays).  Until the transfer lands its bytes are pending: a
+        downgrade's leave the source tier (``pending_out``), an
+        upgrade's and a cache copy's enter the target tier
+        (``pending_in``), and the file is in flight.  A repair books no
+        pending bytes and leaves its file selectable.  The I/O model
+        times the copy (see
+        :meth:`repro.engine.iomodel.IoModel.transfer`); the ideal is its
+        standalone duration at the I/O model's network bandwidth, so
+        realized >= ideal holds under both pricing models.  Returns the
+        bytes scheduled.
         """
+        moves = kind == "downgrade" or kind == "upgrade"
+        ticket = self.master.begin_transfer(block, source if moves else None, target)
+        size = block.size
+        block_id = block.block_id
+        inode_id = file.inode_id
+        pending = tier = moved = None
+        if kind == "downgrade":
+            pending, tier, moved = self.pending_out, source.tier, self.bytes_downgraded
+        elif kind != "repair":
+            pending, tier, moved = self.pending_in, target.tier, self.bytes_upgraded
+        if pending is not None:
+            pending[tier] += size
+            self._in_flight[inode_id] = self._in_flight.get(inode_id, 0) + 1
+        self._in_flight_blocks.add(block_id)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "migration_start",
+                kind=kind,
+                block=block_id,
+                path=file.path,
+                bytes=size,
+                src={"node": source.node_id, "tier": source.tier.name},
+                dst={"node": target.node_id, "tier": target.tier.name},
+            )
         ideal = transfer_seconds(
-            block.size,
+            size,
             source.tier,
             target.tier,
             source.node_id != target.node_id,
@@ -248,141 +283,58 @@ class ReplicationMonitor:
         )
         started = self.sim.now()
 
-        def timed_finish() -> None:
+        def land() -> None:
             # Both sides accrue together at completion, so transfers
             # still in flight when a run ends skew neither and the
             # realized-minus-ideal delay never goes negative.
             self.transfer_ideal_seconds += ideal
             self.transfer_realized_seconds += self.sim.now() - started
-            finish()
+            # Undo the bookkeeping before committing: commit_transfer
+            # fires on_data_added, which re-enters the downgrade loop and
+            # reads pending bytes and in-flight files.
+            if pending is not None:
+                pending[tier] -= size
+                remaining = self._in_flight[inode_id] - 1
+                if remaining:
+                    self._in_flight[inode_id] = remaining
+                else:
+                    del self._in_flight[inode_id]
+            self._in_flight_blocks.discard(block_id)
+            # The file may have been deleted while the transfer was in flight.
+            if not self.master.blocks.has_block(block_id):
+                self.master.abort_transfer(ticket)
+                self.transfers_aborted += 1
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        "migration_abort", kind=kind, block=block_id, bytes=size
+                    )
+                return
+            self.master.commit_transfer(ticket)
+            self.transfers_committed += 1
+            if moved is None:
+                self.replicas_repaired += 1
+            else:
+                moved[tier] += size
+            if self.tracer is not None:
+                self.tracer.emit(
+                    "migration_commit",
+                    kind=kind,
+                    block=block_id,
+                    path=file.path,
+                    bytes=size,
+                    tier=target.tier.name,
+                )
 
         self.iomodel.transfer(
-            block.size,
+            size,
             source.device_id,
             source.node_id,
             target.device_id,
             target.node_id,
-            on_complete=timed_finish,
-            name=name,
+            on_complete=land,
+            name=f"{'move' if moves else kind}-b{block_id}",
         )
-
-    def _schedule_copy(
-        self,
-        file: INodeFile,
-        block: BlockInfo,
-        source: ReplicaInfo,
-        target,
-    ) -> int:
-        """Create an additional (cache) replica of ``block`` at ``target``."""
-        ticket = self.master.begin_transfer(block, None, target)
-        size = block.size
-        self.pending_in[target.tier] += size
-        self._in_flight[file.inode_id] = self._in_flight.get(file.inode_id, 0) + 1
-        self._in_flight_blocks.add(block.block_id)
-        if self.tracer is not None:
-            self._trace_start("cache", block, file.path, source, target)
-
-        def finish() -> None:
-            self._finish_move(
-                ticket, file, source.tier, size, downgrade=False, kind="cache"
-            )
-
-        self._run_transfer(block, source, target, finish, f"cache-b{block.block_id}")
         return size
-
-    # -- shared transfer machinery ---------------------------------------------------
-    def _trace_start(
-        self,
-        kind: str,
-        block: BlockInfo,
-        path: str,
-        source: ReplicaInfo,
-        target,
-    ) -> None:
-        """Emit a ``migration_start`` record (tracer known non-None)."""
-        self.tracer.emit(
-            "migration_start",
-            kind=kind,
-            block=block.block_id,
-            path=path,
-            bytes=block.size,
-            src={"node": source.node_id, "tier": source.tier.name},
-            dst={"node": target.node_id, "tier": target.tier.name},
-        )
-
-    def _schedule_move(
-        self,
-        file: INodeFile,
-        block: BlockInfo,
-        source: ReplicaInfo,
-        target,
-        downgrade: bool,
-    ) -> int:
-        ticket = self.master.begin_transfer(block, source, target)
-        size = block.size
-        from_tier = source.tier
-        kind = "downgrade" if downgrade else "upgrade"
-        if downgrade:
-            self.pending_out[from_tier] += size
-        else:
-            self.pending_in[target.tier] += size
-        self._in_flight[file.inode_id] = self._in_flight.get(file.inode_id, 0) + 1
-        self._in_flight_blocks.add(block.block_id)
-        if self.tracer is not None:
-            self._trace_start(kind, block, file.path, source, target)
-
-        def finish() -> None:
-            self._finish_move(ticket, file, from_tier, size, downgrade, kind=kind)
-
-        self._run_transfer(block, source, target, finish, f"move-b{block.block_id}")
-        return size
-
-    def _finish_move(
-        self,
-        ticket: TransferTicket,
-        file: INodeFile,
-        from_tier: TierSpec,
-        size: int,
-        downgrade: bool,
-        kind: str = "upgrade",
-    ) -> None:
-        if downgrade:
-            self.pending_out[from_tier] -= size
-        else:
-            self.pending_in[ticket.target.tier] -= size
-        remaining = self._in_flight.get(file.inode_id, 0) - 1
-        if remaining <= 0:
-            self._in_flight.pop(file.inode_id, None)
-        else:
-            self._in_flight[file.inode_id] = remaining
-        self._in_flight_blocks.discard(ticket.block.block_id)
-        # The file may have been deleted while the transfer was in flight.
-        if not self.master.blocks.has_block(ticket.block.block_id):
-            self.master.abort_transfer(ticket)
-            self.transfers_aborted += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "migration_abort",
-                    kind=kind,
-                    block=ticket.block.block_id,
-                    bytes=size,
-                )
-            return
-        self.master.commit_transfer(ticket)
-        self.transfers_committed += 1
-        if downgrade:
-            self.bytes_downgraded[from_tier] += size
-        else:
-            self.bytes_upgraded[ticket.target.tier] += size
-        if self.tracer is not None:
-            self.tracer.emit(
-                "migration_commit",
-                kind=kind,
-                block=ticket.block.block_id,
-                path=file.path,
-                bytes=size,
-                tier=ticket.target.tier.name,
-            )
 
     # -- replication health (under/over-replicated blocks) ------------------------------
     def _persistent_count(self, block: BlockInfo) -> int:
@@ -418,38 +370,7 @@ class ReplicationMonitor:
         target = self.placement.select_copy_target(block, tiers)
         if target is None:
             return
-        ticket = self.master.begin_transfer(block, None, target)
-        self._in_flight_blocks.add(block.block_id)
-        if self.tracer is not None:
-            self._trace_start("repair", block, file.path, source, target)
-
-        def finish() -> None:
-            self._in_flight_blocks.discard(block.block_id)
-            if not self.master.blocks.has_block(block.block_id):
-                self.master.abort_transfer(ticket)
-                self.transfers_aborted += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "migration_abort",
-                        kind="repair",
-                        block=block.block_id,
-                        bytes=block.size,
-                    )
-                return
-            self.master.commit_transfer(ticket)
-            self.transfers_committed += 1
-            self.replicas_repaired += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "migration_commit",
-                    kind="repair",
-                    block=block.block_id,
-                    path=file.path,
-                    bytes=block.size,
-                    tier=target.tier.name,
-                )
-
-        self._run_transfer(block, source, target, finish, f"repair-b{block.block_id}")
+        self._transfer("repair", file, block, source, target)
 
     def _trim_over_replicated(self, block: BlockInfo) -> None:
         # Drop the slowest extra replica; ties broken by replica id.  In

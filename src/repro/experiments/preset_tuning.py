@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.presets import PRESETS, preset_for_scenario
-from repro.engine.runner import RunResult, SystemConfig, WorkloadRunner
-from repro.experiments.common import format_table, run_labelled_cells
+from repro.experiments.common import RowResult, format_table, run_labelled_cells
 from repro.experiments.scenarios import _scenario_scale
-from repro.workload.scenarios import build_scenario
 
 
 @dataclass
@@ -28,42 +26,22 @@ class PresetDelta:
     """Default-vs-preset figures for one scenario."""
 
     scenario: str
-    default: RunResult
-    preset: RunResult
+    default: RowResult
+    preset: RowResult
     conf: Dict[str, object]
 
     @property
     def hit_delta(self) -> float:
+        """Preset minus default location hit ratio."""
         return self.preset.metrics.hit_ratio() - self.default.metrics.hit_ratio()
 
     @property
     def task_hours_delta(self) -> float:
+        """Preset minus default task hours."""
         return (
             self.preset.metrics.total_task_seconds()
             - self.default.metrics.total_task_seconds()
         ) / 3600.0
-
-
-def _run_once(
-    name: str,
-    preset: Optional[str],
-    policies: Tuple[str, str],
-    scale: float,
-    seed: int,
-    workers: int,
-) -> RunResult:
-    downgrade, upgrade = policies
-    stream = build_scenario(name, seed=seed, scale=_scenario_scale(name, scale))
-    config = SystemConfig(
-        label=f"{name}/{preset or 'default'}",
-        placement="octopus",
-        downgrade=downgrade,
-        upgrade=upgrade,
-        workers=workers,
-        scenario=name,
-        preset=preset,
-    )
-    return WorkloadRunner(stream, config).run()
 
 
 def run_preset_tuning(
@@ -76,43 +54,14 @@ def run_preset_tuning(
 ) -> List[PresetDelta]:
     """Replay each preset-carrying scenario under default and preset conf.
 
-    ``jobs > 1`` runs both legs of every scenario concurrently through
-    the sweep orchestrator (identical figures; the legs are independent
-    simulations).
+    The default and tuned legs of every scenario are sweep cells;
+    ``jobs > 1`` runs them concurrently (identical figures; the legs are
+    independent simulations).
     """
-    names = scenarios if scenarios is not None else sorted(PRESETS)
-    names = [n for n in names if preset_for_scenario(n) is not None]
-    if jobs != 1:
-        return _run_preset_tuning_parallel(
-            names, policies, scale, seed, workers, jobs
-        )
-    deltas: List[PresetDelta] = []
-    for name in names:
-        preset = preset_for_scenario(name)
-        default = _run_once(name, None, policies, scale, seed, workers)
-        tuned = _run_once(name, name, policies, scale, seed, workers)
-        deltas.append(
-            PresetDelta(
-                scenario=name,
-                default=default,
-                preset=tuned,
-                conf=dict(preset.conf),
-            )
-        )
-    return deltas
-
-
-def _run_preset_tuning_parallel(
-    names: List[str],
-    policies: Tuple[str, str],
-    scale: float,
-    seed: int,
-    workers: int,
-    jobs: int,
-) -> List[PresetDelta]:
-    """The ``jobs > 1`` path: default and tuned legs as sweep cells."""
     from repro.sweep import make_cell
 
+    names = scenarios if scenarios is not None else sorted(PRESETS)
+    names = [n for n in names if preset_for_scenario(n) is not None]
     downgrade, upgrade = policies
     labelled = [
         (
@@ -144,6 +93,8 @@ def _run_preset_tuning_parallel(
 
 
 def render_preset_tuning(deltas: List[PresetDelta]) -> str:
+    """One table row per scenario: default and preset figures, deltas and
+    the preset's keys."""
     rows = []
     for d in deltas:
         rows.append(

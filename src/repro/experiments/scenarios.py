@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.engine.runner import RunResult, SystemConfig, WorkloadRunner
-from repro.experiments.common import format_table, run_labelled_cells
-from repro.workload.scenarios import build_scenario, scenario_names
+from repro.experiments.common import RowResult, format_table, run_labelled_cells
+from repro.workload.scenarios import scenario_names
 
 #: Replay scale per scenario kind: the classic traces are dense, the
 #: generators are sized by duration — both land in the few-hundred-job
@@ -41,40 +40,13 @@ def run_scenarios(
     seed: int = 42,
     workers: int = 11,
     jobs: int = 1,
-) -> Dict[str, List[RunResult]]:
+) -> Dict[str, List[RowResult]]:
     """Replay every registered scenario under each policy configuration.
 
-    ``jobs > 1`` fans the (scenario × configuration) matrix across
-    worker processes through the sweep orchestrator; the table values
-    are identical to the serial run (the simulated metrics are
-    deterministic per cell).
+    Each (scenario × configuration) pair is one sweep cell; ``jobs > 1``
+    fans them across worker processes, and the figures are the same for
+    every ``jobs`` (the simulated metrics are deterministic per cell).
     """
-    if jobs != 1:
-        return _run_scenarios_parallel(scale, io_model, seed, workers, jobs)
-    results: Dict[str, List[RunResult]] = {}
-    for name in scenario_names():
-        rows: List[RunResult] = []
-        for label, downgrade, upgrade in CONFIGS:
-            stream = build_scenario(
-                name, seed=seed, scale=_scenario_scale(name, scale)
-            )
-            config = SystemConfig(
-                label=label,
-                placement="octopus",
-                downgrade=downgrade,
-                upgrade=upgrade,
-                workers=workers,
-                io_model=io_model,
-            )
-            rows.append(WorkloadRunner(stream, config).run())
-        results[name] = rows
-    return results
-
-
-def _run_scenarios_parallel(
-    scale: float, io_model: str, seed: int, workers: int, jobs: int
-) -> Dict[str, List]:
-    """The ``jobs > 1`` path: one sweep cell per (scenario, config)."""
     from repro.sweep import make_cell
 
     names = scenario_names()
@@ -103,7 +75,8 @@ def _run_scenarios_parallel(
     }
 
 
-def render_scenarios(results: Dict[str, List[RunResult]]) -> str:
+def render_scenarios(results: Dict[str, List[RowResult]]) -> str:
+    """One table row per (scenario, configuration) run."""
     rows = []
     for name, runs in results.items():
         for result in runs:

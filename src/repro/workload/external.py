@@ -21,7 +21,8 @@ Conveniences applied during ingestion, for both formats (shared with
 live replay, :mod:`repro.workload.live`):
 
 * events must be time-ordered (a decreasing timestamp raises
-  :class:`~repro.workload.streams.StreamOrderError` with the line context);
+  :class:`~repro.workload.streams.StreamOrderError`, naming the file and,
+  for JSONL, the line);
 * job ids are assigned sequentially when omitted;
 * a job's ``input_bytes``, when omitted or zero, is inferred from the
   sizes of previously created files it reads (O(files) state).
@@ -169,18 +170,18 @@ class ExternalTraceStream(WorkloadStream):
         compression = "gzip" if self.path.endswith(".gz") else None
         return LiveStream(handle, name=self.path, compression=compression)
 
-    def _raw_events(self) -> Iterator[StreamEvent]:
+    def _ordered_events(self) -> Iterator[StreamEvent]:
         if self.fmt == "csv":
-            yield from iter_csv_events(self.path)
+            yield from ordered(iter_csv_events(self.path), name=self.name)
             return
         with open(self.path, "rb") as handle:
-            yield from self._reader(handle)._raw_events()
+            reader = self._reader(handle)
+            # Named like the reader's own errors: the file and the line.
+            yield from ordered(reader._raw_events(), self.path, lambda: reader._line_no)
 
     def events(self) -> Iterator[StreamEvent]:
         """Decode the file afresh: ordered, sizes filled, jobs numbered."""
-        return number_jobs(
-            fill_input_sizes(ordered(self._raw_events(), name=self.name))
-        )
+        return number_jobs(fill_input_sizes(self._ordered_events()))
 
     def stats(self, max_events: Optional[int] = None) -> StreamStats:
         """One decode pass of statistics; the unbounded pass is cached."""

@@ -49,6 +49,7 @@ offline (property-tested in ``tests/test_live.py``).
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import heapq
 import io
@@ -146,11 +147,11 @@ def open_live_source(
     asking the wrapper would call a pipe seekable).
     """
     if not isinstance(spec, str):
-        return _wrap_compression(spec, compression), False, _seekable(spec)
+        return _wrap_compression(spec, compression, False), False, _seekable(spec)
     if spec == "-":
         # Wrap the binary buffer so gzip-over-stdin works uniformly.
         raw = sys.stdin.buffer
-        return _wrap_compression(raw, compression), False, _seekable(raw)
+        return _wrap_compression(raw, compression, False), False, _seekable(raw)
     if spec.startswith("tcp://"):
         host, port = parse_endpoint(spec, "tcp")
         if not host:
@@ -161,14 +162,14 @@ def open_live_source(
         # here means closing the file (LiveStream.close) closes the
         # connection instead of leaking it until garbage collection.
         sock.close()
-        return _wrap_compression(handle, compression), True, False
+        return _wrap_compression(handle, compression, True), True, False
     if spec.startswith("listen://"):
         handle = _accept_one(spec)
-        return _wrap_compression(handle, compression), True, False
+        return _wrap_compression(handle, compression, True), True, False
     if compression is None and spec.endswith(".gz"):
         compression = "gzip"
     raw = open(spec, "rb")
-    return _wrap_compression(raw, compression), True, _seekable(raw)
+    return _wrap_compression(raw, compression, True), True, _seekable(raw)
 
 
 def parse_endpoint(spec: str, scheme: str) -> Tuple[str, int]:
@@ -249,16 +250,37 @@ def _seekable(handle) -> bool:
         return False
 
 
-def _wrap_compression(handle, compression: Optional[str]) -> IO[str]:
-    """Text-mode view of ``handle``, gunzipping on the fly if asked."""
+def _wrap_compression(handle, compression: Optional[str], owned: bool) -> IO[str]:
+    """Text-mode view of ``handle``, gunzipping on the fly if asked; it
+    closes ``handle`` only when ``owned`` (see :class:`_TextView`)."""
     if compression not in (None, "gzip"):
         raise ValueError(f"unknown compression {compression!r}; want gzip or None")
-    # JSON text is UTF-8 whatever the host locale says.
+    binary = handle
     if compression == "gzip":
-        return gzip.open(getattr(handle, "buffer", handle), "rt", encoding="utf-8")
-    if isinstance(handle, io.TextIOBase) or hasattr(handle, "encoding"):
+        binary = gzip.GzipFile(fileobj=getattr(handle, "buffer", handle), mode="rb")
+    elif isinstance(handle, io.TextIOBase) or hasattr(handle, "encoding"):
         return handle
-    return io.TextIOWrapper(handle, encoding="utf-8")
+    return _TextView(binary, handle if owned else None)
+
+
+class _TextView(io.TextIOWrapper):
+    """UTF-8 text view of a binary transport (JSON text is UTF-8 whatever
+    the host locale says).  Closing it closes ``owned`` too, the raw
+    handle under any gzip layer; ``owned=None`` marks a caller's handle,
+    which closing or dropping the view leaves open by detaching from it."""
+
+    def __init__(self, binary, owned) -> None:
+        # Set first: the finalizer calls close() even when __init__ fails.
+        self._owned = owned
+        super().__init__(binary, encoding="utf-8")
+
+    def close(self) -> None:
+        if self._owned is None:
+            with contextlib.suppress(ValueError):  # already detached
+                self.detach()
+        else:
+            super().close()
+            self._owned.close()
 
 
 def _clamped(event: StreamEvent, time: float) -> StreamEvent:

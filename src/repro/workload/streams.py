@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.workload.bins import BINS, bin_for_size
 from repro.workload.jobs import (
@@ -213,16 +213,23 @@ class GeneratedStream(WorkloadStream):
 
 # -- stream utilities --------------------------------------------------------
 def ordered(
-    events: Iterable[StreamEvent], name: str = "stream"
+    events: Iterable[StreamEvent],
+    name: str = "stream",
+    line: Optional[Callable[[], int]] = None,
 ) -> Iterator[StreamEvent]:
-    """Pass-through that enforces non-decreasing event times."""
+    """Pass-through that enforces non-decreasing event times.
+
+    ``line``, when given, returns the input line of the event just
+    pulled, and the error ends ``at line N`` as wire-format errors do.
+    """
     last = -float("inf")
     for event in events:
         t = event_time(event)
         if t < last:
+            where = "" if line is None else f" at line {line()}"
             raise StreamOrderError(
                 f"{name}: event at t={t} after t={last} "
-                f"({type(event).__name__})"
+                f"({type(event).__name__}){where}"
             )
         last = t
         yield event

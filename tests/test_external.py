@@ -108,6 +108,18 @@ class TestCsvIngestion:
         stream = ExternalTraceStream(write_csv(tmp_path, text, "ooo.csv"))
         with pytest.raises(StreamOrderError):
             list(stream)
+        # As JSONL the error names the file and the line, like every
+        # other error of the wire format.
+        lines = (
+            '{"kind": "create", "time": 10.0, "path": "/a", "bytes": 5}\n'
+            '{"kind": "create", "time": 1.0, "path": "/b", "bytes": 5}\n'
+        )
+        path = tmp_path / "ooo.jsonl"
+        path.write_text(lines)
+        expected = f"{path}: event at t=1.0 after t=10.0 (FileCreation) at line 2"
+        with pytest.raises(StreamOrderError) as caught:
+            list(ExternalTraceStream(str(path)))
+        assert str(caught.value) == expected
 
 
 class TestJsonlIngestion:

@@ -1,10 +1,12 @@
 """Tests for live stream replay (pipes, sockets, reorder handling)."""
 
+import gc
 import gzip
 import json
 import os
 import socket
 import threading
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -361,6 +363,34 @@ class TestTransports:
             assert not handle.closed
         finally:
             handle.close()
+
+    @pytest.mark.parametrize("compression", [None, "gzip"])
+    def test_dropping_a_stream_leaves_a_caller_handle_open(self, tmp_path, compression):
+        # A binary handle gets a text (or gunzipping) view; neither the
+        # view's close nor its finalizer may close the caller's handle.
+        text = jsonl(create(1.0))
+        payload = gzip.compress(text.encode()) if compression else text.encode()
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(payload)
+        with open(path, "rb") as handle:
+            stream = LiveStream(handle, compression=compression)
+            assert len(list(stream.events())) == 1
+            stream.close()
+            del stream
+            gc.collect()
+            assert not handle.closed
+
+    def test_owned_gzip_path_closes_its_file(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        path.write_bytes(gzip.compress(jsonl(create(1.0)).encode()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            stream = LiveStream(str(path))
+            list(stream.events())
+            stream.close()
+            del stream
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_owned_path_handle_closed(self, tmp_path):
         stream = LiveStream(write(tmp_path, jsonl(create(1.0))))

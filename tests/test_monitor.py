@@ -9,6 +9,7 @@ from repro.core import ReplicationManager
 from repro.cluster.hardware import transfer_seconds
 from repro.core.policy import DowngradeAction
 from repro.dfs import DFSClient, Master, NodeManager, OctopusPlacementPolicy
+from repro.obs.trace import Tracer
 from repro.sim import Simulator
 
 MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
@@ -190,3 +191,73 @@ class TestHealthScan:
         master.decommission_node(block.replica_list()[0].node_id)
         sim.run(until=sim.now() + 300)
         assert block.replica_count == 0  # nothing to copy from
+
+
+class TestTransferLifecycle:
+    """Every kind of transfer runs one begin/land pair: booked while in
+    flight, fully unwound when it commits or aborts."""
+
+    @staticmethod
+    def begin(kind, monitor, master, client):
+        """Start one ``kind`` transfer of a fresh one-block file."""
+        file = client.create("/f", 128 * MB)
+        block = master.blocks.blocks_of(file)[0]
+        if kind == "downgrade":
+            monitor.submit_downgrade(file, MEMORY, DowngradeAction.MOVE)
+        elif kind == "repair":
+            master.delete_replica(block.replicas_on_tier(HDD)[0])
+            monitor.health_scan()
+        else:
+            master.delete_replica(block.replicas_on_tier(MEMORY)[0])
+            monitor.submit_upgrade(file, [MEMORY], copy=kind == "cache")
+        return file, block
+
+    @pytest.mark.parametrize("deleted", [False, True], ids=["commit", "abort"])
+    @pytest.mark.parametrize("kind", ["downgrade", "upgrade", "cache", "repair"])
+    def test_kind_books_then_unwinds(self, stack, kind, deleted):
+        sim, master, client, manager = stack
+        monitor = manager.monitor
+        monitor.tracer = Tracer(sim.now)
+        file, block = self.begin(kind, monitor, master, client)
+        size = block.size
+        # In flight: the kind's pending bytes and in-flight marks.
+        assert monitor.pending_transfers == 1
+        assert master.open_ticket_count() == 1
+        assert monitor.pending_out[MEMORY] == (size if kind == "downgrade" else 0)
+        booked_in = kind in ("upgrade", "cache")
+        assert monitor.pending_in[MEMORY] == (size if booked_in else 0)
+        assert (file.inode_id in monitor.in_flight_files()) == (kind != "repair")
+        if deleted:
+            client.delete("/f")
+        sim.run(until=sim.now() + 300)
+
+        assert all(n == 0 for n in monitor.pending_in.values())
+        assert all(n == 0 for n in monitor.pending_out.values())
+        assert monitor.in_flight_files() == set()
+        assert monitor.pending_transfers == 0
+        assert master.open_ticket_count() == 0
+        monitor.assert_idle()
+        assert monitor.transfers_aborted == int(deleted)
+        assert monitor.transfers_committed == int(not deleted)
+        credited = 0 if deleted else size
+        moved_down = monitor.bytes_downgraded[MEMORY]
+        assert moved_down == (credited if kind == "downgrade" else 0)
+        assert monitor.bytes_upgraded[MEMORY] == (credited if booked_in else 0)
+        assert monitor.replicas_repaired == int(kind == "repair" and not deleted)
+        if deleted:
+            assert sum(d.used for n in master.topology.nodes for d in n.devices()) == 0
+
+        # Every migration_start ends in exactly one commit or abort of
+        # the same kind and block.
+        records = monitor.tracer.records
+        starts = [
+            (r["kind"], r["block"]) for r in records if r["ev"] == "migration_start"
+        ]
+        ends = [
+            (r["ev"], r["kind"], r["block"])
+            for r in records
+            if r["ev"] in ("migration_commit", "migration_abort")
+        ]
+        assert starts == [(kind, block.block_id)]
+        end = "migration_abort" if deleted else "migration_commit"
+        assert ends == [(end, kind, block.block_id)]
