@@ -48,6 +48,9 @@ class ClusterTopology:
     def __init__(self, hierarchy: Optional[TierHierarchy] = None) -> None:
         self._racks: Dict[str, Rack] = {}
         self._nodes: Dict[str, Node] = {}
+        #: Node id -> rack name, kept by :meth:`add_node` for lookups on
+        #: the per-task path (replica choice).
+        self.rack_names: Dict[str, str] = {}
         self._hierarchy = hierarchy
         # Aggregate per-tier byte accounting, maintained incrementally
         # via each device's usage_listener (capacity is static once a
@@ -80,6 +83,7 @@ class ClusterTopology:
                 f"cluster uses {self._hierarchy.name!r}"
             )
         self._nodes[node.node_id] = node
+        self.rack_names[node.node_id] = node.rack
         rack = self._racks.setdefault(node.rack, Rack(node.rack))
         rack.add(node)
         for device in node.devices():

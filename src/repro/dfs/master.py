@@ -34,8 +34,7 @@ class FileAccess(NamedTuple):
     memory_location: bool
 
 
-@dataclass(frozen=True)
-class BlockRead:
+class BlockRead(NamedTuple):
     """The replica chosen to serve one block of a read."""
 
     block: BlockInfo
@@ -250,20 +249,23 @@ class Master:
         HDFS semantics: network distance first (local replicas beat
         remote ones), then tier speed among equals: the smallest
         ``(distance, tier.level, replica_id)``, found in one pass.
+        Racks come from the topology's node-to-rack table
+        (``ClusterTopology.rack_names``).  Without a known reader,
+        the smallest ``(tier.level, load_score, replica_id)`` wins.
         """
         replicas = block.replicas
         if not replicas:
             raise InvalidPathError(f"block {block.block_id} has no replicas")
-        if reader_node is not None and reader_node in self.topology:
-            node = self.topology.node
-            reader_rack = node(reader_node).rack
+        rack_names = self.topology.rack_names
+        reader_rack = rack_names.get(reader_node)
+        if reader_rack is not None:
             chosen = None
             best = None
             for replica in replicas.values():
                 node_id = replica.node_id
                 if node_id == reader_node:
                     distance = ClusterTopology.SAME_NODE
-                elif node(node_id).rack == reader_rack:
+                elif rack_names[node_id] == reader_rack:
                     distance = ClusterTopology.SAME_RACK
                 else:
                     distance = ClusterTopology.OFF_RACK
@@ -272,10 +274,7 @@ class Master:
                     chosen = replica
                     best = key
             return BlockRead(
-                block=block,
-                replica=chosen,
-                distance=best[0],
-                local=best[0] == ClusterTopology.SAME_NODE,
+                block, chosen, best[0], best[0] == ClusterTopology.SAME_NODE
             )
         # No reader context: serve from the fastest tier, least-loaded node.
         load_score = self.node_manager.load_score
@@ -283,12 +282,7 @@ class Master:
             replicas.values(),
             key=lambda r: (r.tier.level, load_score(r.node_id), r.replica_id),
         )
-        return BlockRead(
-            block=block,
-            replica=chosen,
-            distance=ClusterTopology.OFF_RACK,
-            local=False,
-        )
+        return BlockRead(block, chosen, ClusterTopology.OFF_RACK, False)
 
     # -- appends --------------------------------------------------------------------
     def append_file(

@@ -17,8 +17,9 @@ two pricing models runs; it is selected per run with
     the DFSIO experiment (Fig 2) come out paper-shaped: writing 3 HDD
     replicas per block triples the HDD stream load and collapses
     per-node throughput relative to tiered placement.  An operation is
-    one simulator event at its priced duration plus its delay; the
-    event releases the streams, then calls back.  Tier transfers hold
+    one record of its open streams and callback, scheduled as one
+    simulator event at its priced duration plus its delay; the event
+    releases the streams, then calls back.  Tier transfers hold
     no stream and take their standalone :func:`transfer_seconds`.
 
 ``fairshare``
@@ -37,7 +38,7 @@ two pricing models runs; it is selected per run with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.hardware import (
     DEFAULT_NETWORK_BANDWIDTH,
@@ -70,8 +71,59 @@ def _bottleneck_leg(legs: List[WriteLeg]) -> WriteLeg:
     return min(legs, key=lambda leg: leg.device.profile.write_bw)
 
 
+_SNAPSHOT_ONLY = (
+    "start_read/start_write price a whole operation up front and only exist "
+    "under the snapshot model; use read()/write()/transfer() with an "
+    "on_complete callback"
+)
+
+
+class _SnapshotOp:
+    """One snapshot read or write in flight: the device and NIC streams
+    it holds open and the callback to run when it ends.
+
+    :meth:`finish` is the operation's one simulator event: it releases
+    the streams, then calls back.
+    """
+
+    __slots__ = ("io", "device_ids", "net_nodes", "on_complete", "released")
+
+    def __init__(
+        self, io: "IoModel", device_ids: Sequence[str], net_nodes: Sequence[str]
+    ) -> None:
+        self.io = io
+        self.device_ids = device_ids
+        self.net_nodes = net_nodes
+        self.on_complete: Optional[Callable[[], None]] = None
+        self.released = False
+
+    def release(self) -> None:
+        """Close the operation's streams (once; a second call raises)."""
+        if self.released:
+            raise RuntimeError("stream released twice")
+        self.released = True
+        device_streams = self.io._device_streams
+        for device_id in self.device_ids:
+            device_streams[device_id] -= 1
+        net_streams = self.io._net_streams
+        for node_id in self.net_nodes:
+            net_streams[node_id] -= 1
+
+    def finish(self) -> None:
+        """Release the streams, then call back."""
+        self.release()
+        self.on_complete()
+
+
 class IoModel:
-    """Tracks active streams/flows and prices read/write/transfer ops."""
+    """Tracks active streams/flows and prices read/write/transfer ops.
+
+    Under snapshot pricing, :meth:`read` and :meth:`write` take their
+    duration and open streams from :meth:`start_read` and
+    :meth:`start_write` and schedule the operation's record
+    (:class:`_SnapshotOp`) as one completion event; under fair share
+    they submit a flow (:meth:`_submit_tracked`).
+    """
 
     def __init__(
         self,
@@ -161,44 +213,6 @@ class IoModel:
         """The storage device registered under ``device_id``."""
         return self._devices[device_id]
 
-    # -- snapshot internals --------------------------------------------------
-    def _device_share(self, device: StorageDevice, write: bool) -> float:
-        streams = self._device_streams[device.device_id] + 1
-        bw = device.profile.write_bw if write else device.profile.read_bw
-        return bw / streams
-
-    def _net_share(self, node_id: str) -> float:
-        streams = self._net_streams[node_id] + 1
-        return self.network_bandwidth / streams
-
-    def _acquire(
-        self, device_ids: List[str], net_nodes: List[str]
-    ) -> Callable[[], None]:
-        for device_id in device_ids:
-            self._device_streams[device_id] += 1
-        for node_id in net_nodes:
-            self._net_streams[node_id] += 1
-        released = [False]
-
-        def release() -> None:
-            if released[0]:
-                raise RuntimeError("stream released twice")
-            released[0] = True
-            for device_id in device_ids:
-                self._device_streams[device_id] -= 1
-            for node_id in net_nodes:
-                self._net_streams[node_id] -= 1
-
-        return release
-
-    def _require_snapshot(self) -> None:
-        if self.pricing != "snapshot":
-            raise RuntimeError(
-                "start_read/start_write price a whole operation up front and "
-                "only exist under the snapshot model; use read()/write()/"
-                "transfer() with an on_complete callback"
-            )
-
     # -- snapshot pricing steps ----------------------------------------------
     def start_read(
         self,
@@ -211,33 +225,45 @@ class IoModel:
         """The snapshot pricing step of :meth:`read`.
 
         Prices a block read at the current stream counts and opens its
-        streams; returns ``(duration, release)``.  ``release`` must be
-        called once, when the read ends (``read`` does it in its
-        completion event).
+        streams; returns ``(duration, release)``.  ``release`` is the
+        bound method of the operation's :class:`_SnapshotOp` record and
+        must be called once, when the read ends (``read`` schedules the
+        record's completion step, which does it).  A device serving
+        ``n`` open streams gives the read ``read_bw / (n + 1)``; a remote
+        read is further capped by both NICs' shares the same way.
         """
-        self._require_snapshot()
+        if self.pricing != "snapshot":
+            raise RuntimeError(_SNAPSHOT_ONLY)
         device = self._devices[device_id]
-        bandwidth = self._device_share(device, write=False)
-        ideal = device.profile.read_bw
-        net_nodes: List[str] = []
+        profile = device.profile
+        device_streams = self._device_streams
+        bandwidth = profile.read_bw / (device_streams[device_id] + 1)
+        ideal = profile.read_bw
+        net_nodes: Tuple[str, ...] = ()
+        net_streams = self._net_streams
         if remote:
+            network_bandwidth = self.network_bandwidth
             bandwidth = min(
-                bandwidth, self._net_share(source_node), self._net_share(reader_node)
+                bandwidth,
+                network_bandwidth / (net_streams[source_node] + 1),
+                network_bandwidth / (net_streams[reader_node] + 1),
             )
-            ideal = min(ideal, self.network_bandwidth)
+            ideal = min(ideal, network_bandwidth)
             net_nodes = (
-                [source_node, reader_node]
+                (source_node, reader_node)
                 if source_node != reader_node
-                else [source_node]
+                else (source_node,)
             )
-        duration = device.profile.seek_latency + size / bandwidth
+        duration = profile.seek_latency + size / bandwidth
         self._ops_priced += 1
         self._priced_seconds += duration
-        ideal_duration = device.profile.seek_latency + size / ideal
+        ideal_duration = profile.seek_latency + size / ideal
         self._ideal_seconds += ideal_duration
         self.queue_delay_by_tier[device.tier.name] += duration - ideal_duration
-        release = self._acquire([device_id], net_nodes)
-        return duration, release
+        device_streams[device_id] += 1
+        for node_id in net_nodes:
+            net_streams[node_id] += 1
+        return duration, _SnapshotOp(self, (device_id,), net_nodes).release
 
     def start_write(
         self, size: int, legs: List[WriteLeg], writer_node: Optional[str]
@@ -247,27 +273,41 @@ class IoModel:
         Prices a pipelined write to all replica legs and opens its
         streams; returns ``(duration, release)`` as :meth:`start_read`
         does.  The pipeline streams at the minimum effective bandwidth
-        across legs (slowest medium or the network for remote legs).
+        across legs: each device's ``write_bw / (n + 1)``, and for a
+        remote leg the leg's and the writer's NIC shares.
         """
-        self._require_snapshot()
+        if self.pricing != "snapshot":
+            raise RuntimeError(_SNAPSHOT_ONLY)
         if not legs:
             raise ValueError("write needs at least one leg")
+        device_streams = self._device_streams
+        net_streams = self._net_streams
+        network_bandwidth = self.network_bandwidth
         bandwidth = float("inf")
         ideal = float("inf")
         latency = 0.0
         device_ids = []
         net_nodes = set()
         for leg in legs:
-            bandwidth = min(bandwidth, self._device_share(leg.device, write=True))
-            ideal = min(ideal, leg.device.profile.write_bw)
-            latency = max(latency, leg.device.profile.seek_latency)
-            device_ids.append(leg.device.device_id)
+            device = leg.device
+            profile = device.profile
+            device_id = device.device_id
+            bandwidth = min(
+                bandwidth, profile.write_bw / (device_streams[device_id] + 1)
+            )
+            ideal = min(ideal, profile.write_bw)
+            latency = max(latency, profile.seek_latency)
+            device_ids.append(device_id)
             if leg.remote:
-                bandwidth = min(bandwidth, self._net_share(leg.node_id))
-                ideal = min(ideal, self.network_bandwidth)
+                bandwidth = min(
+                    bandwidth, network_bandwidth / (net_streams[leg.node_id] + 1)
+                )
+                ideal = min(ideal, network_bandwidth)
                 net_nodes.add(leg.node_id)
                 if writer_node is not None:
-                    bandwidth = min(bandwidth, self._net_share(writer_node))
+                    bandwidth = min(
+                        bandwidth, network_bandwidth / (net_streams[writer_node] + 1)
+                    )
                     net_nodes.add(writer_node)
         duration = latency + size / bandwidth
         self._ops_priced += 1
@@ -277,8 +317,12 @@ class IoModel:
         self.queue_delay_by_tier[_bottleneck_leg(legs).device.tier.name] += (
             duration - ideal_duration
         )
-        release = self._acquire(device_ids, sorted(net_nodes))
-        return duration, release
+        for device_id in device_ids:
+            device_streams[device_id] += 1
+        nics = sorted(net_nodes)
+        for node_id in nics:
+            net_streams[node_id] += 1
+        return duration, _SnapshotOp(self, device_ids, nics).release
 
     # -- fair-share link assembly --------------------------------------------
     class _LinkSet:
@@ -394,8 +438,9 @@ class IoModel:
 
         ``delay`` is given as its addends (a map task passes its CPU time
         and its overhead); the callback comes that long after the last
-        byte.  Snapshot streams stay open until then, as the one event's
-        release; a fair-share flow frees its links at the last byte.
+        byte.  Snapshot streams stay open until then: the one event is
+        the operation record's release-then-call-back; a fair-share flow
+        frees its links at the last byte.
         """
         if self.engine is None:
             duration, release = self.start_read(
@@ -403,12 +448,10 @@ class IoModel:
             )
             for addend in delay:
                 duration += addend
-
-            def done() -> None:
-                release()
-                on_complete()
-
-            self.sim.after(duration, done, name=name)
+            # The record behind ``release``; its ``finish`` is the one event.
+            op = release.__self__
+            op.on_complete = on_complete
+            self.sim.after(duration, op.finish, name=name)
             return
         device = self._devices[device_id]
         links = self._LinkSet()
@@ -442,12 +485,9 @@ class IoModel:
             duration, release = self.start_write(size, legs, writer_node)
             for addend in delay:
                 duration += addend
-
-            def done() -> None:
-                release()
-                on_complete()
-
-            self.sim.after(duration, done, name=name)
+            op = release.__self__
+            op.on_complete = on_complete
+            self.sim.after(duration, op.finish, name=name)
             return
         if not legs:
             raise ValueError("write needs at least one leg")

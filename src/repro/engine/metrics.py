@@ -35,6 +35,7 @@ class BinMetrics:
 
     @property
     def mean_completion_time(self) -> float:
+        """Mean job completion time of the bin (0.0 before any job)."""
         if self.jobs_completed == 0:
             return 0.0
         return self.completion_time_sum / self.jobs_completed
@@ -66,17 +67,24 @@ class MetricsCollector:
 
     # -- recording ----------------------------------------------------------
     def record_task_read(
-        self, bin_name: str, tier: TierSpec, num_bytes: int
+        self, bin_name: str, tier: TierSpec, num_bytes: int, seconds: float
     ) -> None:
+        """Record one finished map task: ``num_bytes`` served from
+        ``tier`` and ``seconds`` of task time, both charged to
+        ``bin_name``.  A read from the fastest tier (``level`` 0) is a
+        memory hit."""
         self.task_reads += 1
         self.bytes_read += num_bytes
-        by_tier = self.bins[bin_name].bytes_by_tier
+        bin_metrics = self.bins[bin_name]
+        by_tier = bin_metrics.bytes_by_tier
         by_tier[tier] = by_tier.get(tier, 0) + num_bytes
-        if tier.is_highest:
+        bin_metrics.task_seconds += seconds
+        if tier.level == 0:
             self.task_reads_memory += 1
             self.bytes_read_memory += num_bytes
 
     def record_file_access(self, memory_located: bool, num_bytes: int) -> None:
+        """Record one input-file access for the location-based ratios."""
         self.file_accesses += 1
         self.location_bytes += num_bytes
         if memory_located:
@@ -84,15 +92,18 @@ class MetricsCollector:
             self.location_bytes_memory += num_bytes
 
     def record_task_time(self, bin_name: str, seconds: float) -> None:
+        """Add ``seconds`` of output-task time to ``bin_name``."""
         self.bins[bin_name].task_seconds += seconds
 
     def record_job_completion(self, bin_name: str, seconds: float) -> None:
+        """Record one finished job of ``bin_name`` taking ``seconds``."""
         self.jobs_completed += 1
         bin_metrics = self.bins[bin_name]
         bin_metrics.jobs_completed += 1
         bin_metrics.completion_time_sum += seconds
 
     def record_write(self, num_bytes: int) -> None:
+        """Count ``num_bytes`` of job output written."""
         self.bytes_written += num_bytes
 
     # -- derived metrics ---------------------------------------------------------
@@ -115,6 +126,7 @@ class MetricsCollector:
         return self.file_accesses_memory_located / self.file_accesses
 
     def location_byte_hit_ratio(self) -> float:
+        """Location-based BHR: bytes of files fully memory-resident at access."""
         if self.location_bytes == 0:
             return 0.0
         return self.location_bytes_memory / self.location_bytes
@@ -124,6 +136,7 @@ class MetricsCollector:
         return fold_sum(b.task_seconds for b in self.bins.values())
 
     def mean_completion_times(self) -> Dict[str, float]:
+        """Mean job completion time per bin."""
         return {name: b.mean_completion_time for name, b in self.bins.items()}
 
     def tier_access_distribution(self) -> Dict[str, Dict[TierSpec, float]]:

@@ -50,17 +50,13 @@ class JobExecution:
 
 
 class _Task:
-    """A queued task and, once started, where, since when and as what.
+    """A queued task and, once started, where and since when.
 
     The completion step is a bound method of the record, so starting a
     task allocates no closure of its own.
     """
 
-    __slots__ = ("scheduler", "job", "node_id", "start", "name")
-
-    def __init__(self, scheduler: "TaskScheduler", job: JobExecution) -> None:
-        self.scheduler = scheduler
-        self.job = job
+    __slots__ = ("scheduler", "job", "node_id", "start")
 
     def finish(self) -> None:
         raise NotImplementedError
@@ -74,7 +70,8 @@ class _MapTask(_Task):
     def __init__(
         self, scheduler: "TaskScheduler", job: JobExecution, block: BlockInfo
     ) -> None:
-        super().__init__(scheduler, job)
+        self.scheduler = scheduler
+        self.job = job
         self.block = block
 
     def finish(self) -> None:
@@ -89,7 +86,8 @@ class _OutputTask(_Task):
     def __init__(
         self, scheduler: "TaskScheduler", job: JobExecution, spec: OutputSpec
     ) -> None:
-        super().__init__(scheduler, job)
+        self.scheduler = scheduler
+        self.job = job
         self.spec = spec
 
     def finish(self) -> None:
@@ -154,6 +152,8 @@ class TaskScheduler:
             n.node_id: n.task_slots for n in self.topology.nodes
         }
         self._busy: Dict[str, int] = {n.node_id: 0 for n in self.topology.nodes}
+        #: ``(node_id, slots)`` by descending node id, for the fallback pick.
+        self._slots_by_id_desc = sorted(self._slots.items(), reverse=True)
         self._dead: set = set()
         #: Running total of free slots on live nodes, maintained on every
         #: take/release/failure/recovery so the dispatch loop does not
@@ -182,11 +182,6 @@ class TaskScheduler:
         if node_id in self._dead:
             return 0
         return self._slots[node_id] - self._busy[node_id]
-
-    def _take_slot(self, node_id: str) -> None:
-        self._busy[node_id] += 1
-        if node_id not in self._dead:
-            self._free_total -= 1
 
     def _release_slot(self, node_id: str) -> None:
         # Tasks that were in flight when their node died still release
@@ -249,11 +244,16 @@ class TaskScheduler:
 
     # -- dispatch loop -----------------------------------------------------------
     def _dispatch(self) -> None:
-        while self._pending and self._free_total > 0:
-            task = self._pending.popleft()
+        pending = self._pending
+        busy = self._busy
+        dead = self._dead
+        while pending and self._free_total > 0:
+            task = pending.popleft()
             node_id = self._pick_node(task)
             assert node_id is not None  # guaranteed by _free_total > 0
-            self._take_slot(node_id)
+            busy[node_id] += 1
+            if node_id not in dead:
+                self._free_total -= 1
             if isinstance(task, _MapTask):
                 self._start_map(task, node_id)
             else:
@@ -268,8 +268,8 @@ class TaskScheduler:
             # shuffle models that arbitrariness (a deterministic
             # tie-break would systematically favour or starve the memory
             # replica, which real schedulers do not).
-            replicas = task.block.replica_list()
             if self.tier_aware:
+                replicas = task.block.replica_list()
                 replicas.sort(key=lambda r: (r.tier.level, r.replica_id))
             elif self._rng.random() < self.locality_rate:
                 # Data-local but tier-blind: an arbitrary holder node
@@ -277,27 +277,27 @@ class TaskScheduler:
                 # deterministic tie-break would systematically favour or
                 # starve the memory replica, which real schedulers do
                 # not).
+                replicas = task.block.replica_list()
                 self._rng.shuffle(replicas)
                 replicas.sort(key=lambda r: -self.free_slots(r.node_id))
             else:
                 # Locality miss: the task runs wherever a slot is free
                 # and reads the fastest replica over the network.
-                replicas = []
+                replicas = ()
             for replica in replicas:
                 if self.free_slots(replica.node_id) > 0:
                     return replica.node_id
         # Fall back to the node with the most free slots, the larger node
-        # id on ties: one pass, the same pick as a keyed max over
+        # id on ties: one pass in descending node-id order keeping the
+        # first strict maximum, the same pick as a keyed max over
         # (free_slots, node_id).
         best: Optional[str] = None
         best_free = 0
         dead = self._dead
         busy = self._busy
-        for node_id, slots in self._slots.items():
-            if node_id in dead:
-                continue
+        for node_id, slots in self._slots_by_id_desc:
             free = slots - busy[node_id]
-            if free > best_free or (free == best_free and free > 0 and node_id > best):
+            if free > best_free and node_id not in dead:
                 best = node_id
                 best_free = free
         return best
@@ -312,25 +312,26 @@ class TaskScheduler:
     # -- map task execution ---------------------------------------------------------
     def _start_map(self, task: _MapTask, node_id: str) -> None:
         block = task.block
+        size = block.size
         task.node_id = node_id
         task.start = self.sim.now()
-        task.name = f"map-{block.block_id}"
-        replica = self.master.choose_replica(block, node_id).replica
-        remote = replica.node_id != node_id
-        task.tier = replica.tier
-        self.master.node_manager.record_read(replica.node_id, replica.tier, block.size)
-        cpu = task.job.trace_job.cpu_seconds_per_byte * block.size
+        master = self.master
+        replica = master.choose_replica(block, node_id).replica
+        source = replica.node_id
+        tier = task.tier = replica.tier
+        master.node_manager.record_read(source, tier, size)
+        cpu = task.job.trace_job.cpu_seconds_per_byte * size
         # CPU crunch and task overhead follow the last byte.
         self.iomodel.read(
-            block.size,
+            size,
             replica.device_id,
-            remote,
+            source != node_id,
             node_id,
-            replica.node_id,
+            source,
             task.finish,
             cpu,
             self._overhead(),
-            name=task.name,
+            name="map",
         )
 
     def _map_finished(self, task: _MapTask) -> None:
@@ -341,8 +342,7 @@ class TaskScheduler:
         job.task_seconds += elapsed
         size = task.block.size
         for sink in job.sinks:
-            sink.record_task_read(job.bin_name, task.tier, size)
-            sink.record_task_time(job.bin_name, elapsed)
+            sink.record_task_read(job.bin_name, task.tier, size, elapsed)
         if self.tracer is not None:
             self.tracer.emit(
                 "task_read",
@@ -355,7 +355,8 @@ class TaskScheduler:
         job.maps_remaining -= 1
         if job.maps_remaining == 0:
             self._maps_done(job)
-        self._dispatch()
+        if self._pending:
+            self._dispatch()
 
     def _maps_done(self, job: JobExecution) -> None:
         if job.outputs_remaining == 0:
@@ -380,7 +381,7 @@ class TaskScheduler:
             self._output_done(job, task.start)
             self._dispatch()
             return
-        task.name = f"out-{file.inode_id}"
+        name = f"out-{file.inode_id}"
         legs: List[WriteLeg] = []
         total_size = 0
         for block in self.master.blocks.blocks_of(file):
@@ -397,13 +398,11 @@ class TaskScheduler:
         for sink in job.sinks:
             sink.record_write(total_size)
         if not legs:
-            self.sim.after(overhead, task.finish, name=task.name)
+            self.sim.after(overhead, task.finish, name=name)
             return
         # Pipeline all blocks as one operation: replication multiplies
         # the aggregate device load, the dominant scale effect.
-        self.iomodel.write(
-            total_size, legs, node_id, task.finish, overhead, name=task.name
-        )
+        self.iomodel.write(total_size, legs, node_id, task.finish, overhead, name=name)
 
     def _output_finished(self, task: _OutputTask) -> None:
         self._release_slot(task.node_id)

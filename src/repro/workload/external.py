@@ -73,43 +73,45 @@ def detect_format(path: str) -> str:
 def iter_csv_events(path: str) -> Iterator[StreamEvent]:
     """Lazily decode the CSV trace schema (see module docstring)."""
     with _open_text(path, "r") as handle:
-        reader = csv.DictReader(handle)
-        for row_no, row in enumerate(reader, start=2):
-            kind = (row.get("kind") or "").strip()
-            try:
-                time = float(row["time"])
-                if kind == "create":
-                    yield FileCreation(row["path"], int(float(row["bytes"])), time)
-                elif kind == "delete":
-                    yield FileDeletion(row["path"], time)
-                elif kind == "job":
-                    inputs = [
-                        p.strip()
-                        for p in (row.get("inputs") or "").split(";")
-                        if p.strip()
-                    ]
-                    outputs = []
-                    if (row.get("output_path") or "").strip():
-                        outputs.append(
-                            OutputSpec(
-                                row["output_path"].strip(),
-                                int(float(row.get("output_bytes") or 0)),
-                            )
+        yield from _csv_events(csv.DictReader(handle), path)
+
+
+def _csv_events(reader: csv.DictReader, path: str) -> Iterator[StreamEvent]:
+    """Decode the rows of ``reader``; bad rows are named ``path:row``."""
+    for row_no, row in enumerate(reader, start=2):
+        kind = (row.get("kind") or "").strip()
+        try:
+            time = float(row["time"])
+            if kind == "create":
+                yield FileCreation(row["path"], int(float(row["bytes"])), time)
+            elif kind == "delete":
+                yield FileDeletion(row["path"], time)
+            elif kind == "job":
+                inputs = [
+                    p.strip()
+                    for p in (row.get("inputs") or "").split(";")
+                    if p.strip()
+                ]
+                outputs = []
+                if (row.get("output_path") or "").strip():
+                    outputs.append(
+                        OutputSpec(
+                            row["output_path"].strip(),
+                            int(float(row.get("output_bytes") or 0)),
                         )
-                    yield TraceJob(
-                        job_id=-1,
-                        submit_time=time,
-                        input_paths=inputs,
-                        input_size=int(float(row.get("bytes") or 0)),
-                        outputs=outputs,
-                        cpu_seconds_per_byte=float(
-                            row.get("cpu_seconds_per_byte") or 0.0
-                        ),
                     )
-                else:
-                    raise ValueError(f"unknown event kind {kind!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{row_no}: bad trace row: {exc}") from exc
+                yield TraceJob(
+                    job_id=-1,
+                    submit_time=time,
+                    input_paths=inputs,
+                    input_size=int(float(row.get("bytes") or 0)),
+                    outputs=outputs,
+                    cpu_seconds_per_byte=float(row.get("cpu_seconds_per_byte") or 0.0),
+                )
+            else:
+                raise ValueError(f"unknown event kind {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{row_no}: bad trace row: {exc}") from exc
 
 
 class ExternalTraceStream(WorkloadStream):
@@ -172,7 +174,12 @@ class ExternalTraceStream(WorkloadStream):
 
     def _ordered_events(self) -> Iterator[StreamEvent]:
         if self.fmt == "csv":
-            yield from ordered(iter_csv_events(self.path), name=self.name)
+            with _open_text(self.path, "r") as handle:
+                reader = csv.DictReader(handle)
+                # The physical line, so a quoted newline counts.
+                yield from ordered(
+                    _csv_events(reader, self.path), self.path, lambda: reader.line_num
+                )
             return
         with open(self.path, "rb") as handle:
             reader = self._reader(handle)

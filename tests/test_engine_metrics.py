@@ -20,8 +20,8 @@ MEMORY, SSD, HDD = DEFAULT_HIERARCHY.tiers
 class TestRecording:
     def test_hit_ratios(self):
         metrics = MetricsCollector()
-        metrics.record_task_read("A", MEMORY, 100 * MB)
-        metrics.record_task_read("A", HDD, 300 * MB)
+        metrics.record_task_read("A", MEMORY, 100 * MB, 1.0)
+        metrics.record_task_read("A", HDD, 300 * MB, 2.0)
         assert metrics.hit_ratio() == pytest.approx(0.5)
         assert metrics.byte_hit_ratio() == pytest.approx(0.25)
 
@@ -52,10 +52,41 @@ class TestRecording:
         metrics.record_task_time("F", 7.0)
         assert metrics.total_task_seconds() == 12.0
 
+    def test_one_call_map_record_equals_read_plus_time(self):
+        # The reference updates the read fields by hand, then calls
+        # record_task_time; the one call must leave every field as that
+        # pair does.
+        reads = [
+            ("A", MEMORY, 100 * MB, 0.1),
+            ("A", HDD, 300 * MB, 1.1818181818181819),
+            ("C", SSD, 7, 1.1818181818181819),
+            ("A", MEMORY, 5 * MB, 3.3),
+            ("F", HDD, MB, 0.0),
+        ]
+        combined = MetricsCollector()
+        pair = MetricsCollector()
+        for bin_name, tier, num_bytes, seconds in reads:
+            combined.record_task_read(bin_name, tier, num_bytes, seconds)
+            pair.task_reads += 1
+            pair.bytes_read += num_bytes
+            by_tier = pair.bins[bin_name].bytes_by_tier
+            by_tier[tier] = by_tier.get(tier, 0) + num_bytes
+            if tier.is_highest:
+                pair.task_reads_memory += 1
+                pair.bytes_read_memory += num_bytes
+            pair.record_task_time(bin_name, seconds)
+        assert combined == pair
+        for name in BIN_NAMES:
+            assert combined.bins[name].task_seconds == pair.bins[name].task_seconds
+            assert combined.bins[name].bytes_by_tier == pair.bins[name].bytes_by_tier
+        assert combined.bins["A"].task_seconds == 0.1 + 1.1818181818181819 + 3.3
+        assert combined.task_reads_memory == 2
+        assert combined.bytes_read_memory == 105 * MB
+
     def test_tier_access_distribution_normalized(self):
         metrics = MetricsCollector()
-        metrics.record_task_read("C", MEMORY, 300 * MB)
-        metrics.record_task_read("C", SSD, 100 * MB)
+        metrics.record_task_read("C", MEMORY, 300 * MB, 1.0)
+        metrics.record_task_read("C", SSD, 100 * MB, 1.0)
         dist = metrics.tier_access_distribution()
         assert dist["C"][MEMORY] == pytest.approx(0.75)
         assert dist["C"][SSD] == pytest.approx(0.25)
@@ -87,7 +118,7 @@ class TestFoldedSums:
         metrics = MetricsCollector()
         tiers = (MEMORY, SSD, HDD)
         for tier, amount in zip(tiers, self.TRIPLE):
-            metrics.record_task_read("A", tier, amount)
+            metrics.record_task_read("A", tier, amount, 0.0)
         share = metrics.tier_access_distribution()["A"][SSD]
         assert share == 1.1818181818181819 / 3.3636363636363633
         assert share != 1.1818181818181819 / 3.3636363636363638

@@ -5,9 +5,12 @@ Each test drives one shortcut against its reference with hypothesis:
 * ``normalize_path`` / ``split_path`` return already-normal paths
   without splitting; the reference is the split-and-join form, and
   every input must give the same value or the same error.
-* ``Master.choose_replica`` picks in one keyed loop; the reference is a
-  keyed ``min`` over ``(topology.distance, tier, replica_id)`` with a
-  reader, and over ``(tier, load_score, replica_id)`` without one.
+* ``Master.choose_replica`` picks in one keyed loop over the topology's
+  node-to-rack table; the reference is a keyed ``min`` over
+  ``(topology.distance, tier, replica_id)`` with a reader, and over
+  ``(tier, load_score, replica_id)`` without one.  Layouts include a
+  node that joins after the ``Master`` is built, so the table must
+  follow ``add_node``.
 * ``Simulator`` orders ``(time, priority, seq, event)`` heap tuples; the
   reference is sorting the events by ``Event.__lt__``, across same-time
   ties, priorities, cancels and heap compaction.
@@ -21,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterTopology, build_local_cluster
+from repro.cluster.node import Node, TierProvision
 from repro.common.config import Configuration
 from repro.common.errors import InvalidPathError
 from repro.common.units import GB, MB
@@ -146,6 +150,11 @@ def replica_layouts(draw):
     block = master.blocks.allocate_block(file, 0, MB)
     nodes = topology.nodes
     hierarchy = list(topology.hierarchy)
+    # A reader that joins after the Master exists, in an old rack or a
+    # new one.
+    late_rack = draw(st.sampled_from(["rack0", "rack2", "rack-late"]))
+    late = Node("late000", late_rack, [TierProvision(t, GB) for t in hierarchy])
+    topology.add_node(late)
     holders = draw(
         st.lists(
             st.tuples(st.integers(0, len(nodes) - 1), st.sampled_from(hierarchy)),
@@ -168,6 +177,7 @@ def replica_layouts(draw):
             st.none(),
             st.just("not-a-node"),
             st.sampled_from([n.node_id for n in nodes]),
+            st.just(late.node_id),
         )
     )
     return master, block, reader

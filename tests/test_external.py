@@ -104,12 +104,15 @@ class TestCsvIngestion:
             list(iter_csv_events(path))
 
     def test_out_of_order_rejected(self, tmp_path):
-        text = "kind,time,path,bytes\ncreate,10.0,/a,5\ncreate,1.0,/b,5\n"
-        stream = ExternalTraceStream(write_csv(tmp_path, text, "ooo.csv"))
-        with pytest.raises(StreamOrderError):
-            list(stream)
-        # As JSONL the error names the file and the line, like every
-        # other error of the wire format.
+        # The error names the file and the physical line, as every error
+        # of the wire format does: the quoted newline in /a's path counts.
+        text = 'kind,time,path,bytes\ncreate,10.0,"/a\nb",5\ncreate,1.0,/b,5\n'
+        path = write_csv(tmp_path, text, "ooo.csv")
+        expected = f"{path}: event at t=1.0 after t=10.0 (FileCreation) at line 4"
+        with pytest.raises(StreamOrderError) as caught:
+            list(ExternalTraceStream(path))
+        assert str(caught.value) == expected
+        # As JSONL, the same form.
         lines = (
             '{"kind": "create", "time": 10.0, "path": "/a", "bytes": 5}\n'
             '{"kind": "create", "time": 1.0, "path": "/b", "bytes": 5}\n'

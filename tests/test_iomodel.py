@@ -74,8 +74,38 @@ class TestReads:
             MB, hdd_device(iomodel).device_id, False, node, node
         )
         release()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="stream released twice"):
             release()
+
+    def test_snapshot_read_holds_streams_until_its_event(self, iomodel):
+        sim = iomodel.sim
+        reader, source = (n.node_id for n in iomodel.topology.nodes[:2])
+        device = hdd_device(iomodel, node_index=1).device_id
+        # The price a read gets at these (empty) stream counts.
+        priced = IoModel(build_local_cluster(num_workers=3), Simulator())
+        duration, release = priced.start_read(MB, device, True, reader, source)
+        release()
+
+        def streams():
+            return (
+                iomodel.active_streams(device),
+                iomodel.active_net_streams(reader),
+                iomodel.active_net_streams(source),
+            )
+
+        seen = []
+        iomodel.read(
+            MB, device, True, reader, source, lambda: seen.append(streams()), 0.5, 0.25
+        )
+        assert streams() == (1, 1, 1)
+        sim.after(0.5, lambda: seen.append(streams()))
+        assert sim.run() == 2
+        # Held through the delay, released exactly once before the
+        # callback, which runs at the priced duration plus the delay.
+        assert seen == [(1, 1, 1), (0, 0, 0)]
+        assert sim.now() == duration + 0.5 + 0.25
+        assert streams() == (0, 0, 0)
+        iomodel.assert_drained()
 
 
 class TestWrites:

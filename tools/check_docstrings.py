@@ -36,7 +36,7 @@ SOURCE_ROOT = REPO_ROOT / "src" / "repro"
 
 #: The ratchet: measured repo-wide coverage, rounded down.  Raise it as
 #: coverage improves; never lower it to merge undocumented code.
-RATCHET = 82.9
+RATCHET = 83.8
 
 
 def floor_percent(part: int, whole: int) -> float:
