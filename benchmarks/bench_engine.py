@@ -157,7 +157,7 @@ def run_matrix(matrix, workload: str, seed: int, repeats: int, jobs: int = 1):
     cells = matrix_cells(matrix, workload, seed)
     best = [None] * len(cells)
     for _ in range(repeats):
-        pass_rows = [project_row(row) for row in run_rows(cells, jobs)]
+        pass_rows = [project_row(row) for row, _ in run_rows(cells, jobs)]
         for i, row in enumerate(pass_rows):
             if best[i] is None or row["runtime_seconds"] < best[i]["runtime_seconds"]:
                 best[i] = row

@@ -128,7 +128,7 @@ def main(argv=None) -> int:
         for name in names
         for io_model in IO_MODELS
     ]
-    rows = [project_row(row) for row in run_rows(cells, args.jobs)]
+    rows = [project_row(row) for row, _ in run_rows(cells, args.jobs)]
     for row in rows:
         print(
             f"{row['scenario']:12s} {row['io_model']:9s} scale={row['scale']:g} "

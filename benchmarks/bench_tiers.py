@@ -46,29 +46,30 @@ def bench_one(trace, tiers: str, seed: int, io_model: str = "snapshot") -> dict:
     start = time.perf_counter()
     result = run_workload(trace, config)
     runtime = time.perf_counter() - start
+    outcome = result.fingerprint()
     io_stats = {
         key: (round(value, 3) if isinstance(value, float) else value)
-        for key, value in result.io_stats.items()
+        for key, value in outcome["io_stats"].items()
     }
     return {
         "tiers": tiers,
         "io_model": io_model,
         "runtime_seconds": round(runtime, 3),
         "rss_mb": current_rss_mb(),
-        "jobs_finished": result.jobs_finished,
-        "hit_ratio": round(result.metrics.hit_ratio(), 4),
-        "byte_hit_ratio": round(result.metrics.byte_hit_ratio(), 4),
+        "jobs_finished": outcome["jobs_finished"],
+        "hit_ratio": round(outcome["hit_ratio"], 4),
+        "byte_hit_ratio": round(outcome["byte_hit_ratio"], 4),
         "location_hit_ratio": round(result.metrics.location_hit_ratio(), 4),
-        "task_hours": round(result.metrics.total_task_seconds() / 3600.0, 3),
+        "task_hours": round(outcome["task_seconds"] / 3600.0, 3),
         "bytes_upgraded_gb": {
             name: round(v / GB, 3)
-            for name, v in result.bytes_upgraded_by_tier.items()
+            for name, v in outcome["bytes_upgraded_by_tier"].items()
         },
         "bytes_downgraded_gb": {
             name: round(v / GB, 3)
-            for name, v in result.bytes_downgraded_by_tier.items()
+            for name, v in outcome["bytes_downgraded_by_tier"].items()
         },
-        "transfers_committed": result.transfers_committed,
+        "transfers_committed": outcome["transfers_committed"],
         "io": io_stats,
         "transfer_ideal_seconds": round(result.transfer_ideal_seconds, 3),
         "transfer_realized_seconds": round(result.transfer_realized_seconds, 3),

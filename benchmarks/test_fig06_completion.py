@@ -4,7 +4,7 @@ The paper's orderings, asserted at the resolution the simulator
 supports: gains grow with job size, the managed policies beat static
 OctopusFS placement, XGB is strictly best on FB and within noise of the
 best pair on CMU (sub-point margins between XGB and LRU-OSA are not
-meaningful — see EXPERIMENTS.md).
+meaningful).
 """
 
 from repro.experiments.endtoend import render_fig06

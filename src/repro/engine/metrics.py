@@ -15,9 +15,10 @@ One :class:`MetricsCollector` instance accumulates, per job-size bin:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Any, Dict, Mapping
 
 from repro.cluster.hardware import DEFAULT_HIERARCHY, TierHierarchy, TierSpec
+from repro.cluster.hardware import get_hierarchy
 from repro.common.floats import fold_sum
 from repro.workload.bins import BIN_NAMES
 
@@ -106,7 +107,49 @@ class MetricsCollector:
         """Count ``num_bytes`` of job output written."""
         self.bytes_written += num_bytes
 
+    # -- exact state -------------------------------------------------------------
+    def state(self) -> Dict[str, Any]:
+        """Every accumulator, exact and JSON-safe; :meth:`from_state`
+        inverts it.  Tiers are keyed by name in hierarchy order, and read
+        through it, never iterated: another thread may call this mid-run."""
+        return {
+            "hierarchy": self.hierarchy.name,
+            **{k: v for k, v in vars(self).items() if k not in ("bins", "hierarchy")},
+            "bins": {
+                name: {
+                    **vars(b),
+                    "bytes_by_tier": {
+                        t.name: b.bytes_by_tier[t]
+                        for t in self.hierarchy
+                        if t in b.bytes_by_tier
+                    },
+                }
+                for name, b in self.bins.items()
+            },
+        }
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, Any]) -> "MetricsCollector":
+        """The collector :meth:`state` describes, its hierarchy resolved
+        by :func:`~repro.cluster.hardware.get_hierarchy`."""
+        hierarchy = get_hierarchy(state["hierarchy"])
+        bins = {}
+        for name, b in state["bins"].items():
+            by_tier = {hierarchy.tier(t): n for t, n in b["bytes_by_tier"].items()}
+            bins[name] = BinMetrics(**{**b, "bytes_by_tier": by_tier})
+        return cls(**{**state, "hierarchy": hierarchy, "bins": bins})
+
     # -- derived metrics ---------------------------------------------------------
+    def headline(self) -> Dict[str, Any]:
+        """The exact headline figures every outcome projection reports."""
+        return {
+            "hit_ratio": self.hit_ratio(),
+            "byte_hit_ratio": self.byte_hit_ratio(),
+            "task_seconds": self.total_task_seconds(),
+            "bytes_read": self.bytes_read,
+            "bytes_written": self.bytes_written,
+        }
+
     def hit_ratio(self) -> float:
         """Access-based HR: fraction of task reads served from memory."""
         if self.task_reads == 0:

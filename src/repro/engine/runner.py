@@ -157,6 +157,13 @@ class SystemConfig:
         return conf
 
 
+#: The :meth:`RunResult.fingerprint` keys that are fields of the result.
+_RESTORED = (
+    "elapsed jobs_finished jobs_submitted deletions_applied transfers_committed "
+    "bytes_upgraded_by_tier bytes_downgraded_by_tier queue_delay_by_tier io_stats"
+).split()
+
+
 @dataclass
 class RunResult:
     """Everything measured during one workload run."""
@@ -220,18 +227,15 @@ class RunResult:
         workload against its materialized form) compare equal on it.
         Wall-clock figures, pump back-pressure and live-transport
         counters are left out, because they depend on the host or the
-        transport rather than on the simulation.
+        transport rather than on the simulation.  ``metrics`` is the
+        collector's exact :meth:`~MetricsCollector.state`.
         """
         metrics = self.metrics
         return {
             "jobs_submitted": self.jobs_submitted,
             "jobs_finished": self.jobs_finished,
             "deletions_applied": self.deletions_applied,
-            "hit_ratio": metrics.hit_ratio(),
-            "byte_hit_ratio": metrics.byte_hit_ratio(),
-            "task_seconds": metrics.total_task_seconds(),
-            "bytes_read": metrics.bytes_read,
-            "bytes_written": metrics.bytes_written,
+            **metrics.headline(),
             "elapsed": self.elapsed,
             "transfers_committed": self.transfers_committed,
             "bytes_upgraded_by_tier": self.bytes_upgraded_by_tier,
@@ -243,16 +247,29 @@ class RunResult:
             },
             "io_stats": self.io_stats,
             "sim": self.sim_counters,
+            "metrics": metrics.state(),
         }
+
+    @classmethod
+    def from_fingerprint(cls, fingerprint: Dict[str, Any], label: str) -> "RunResult":
+        """The result whose :meth:`fingerprint` is ``fingerprint``; the
+        host, pump and transport fields it leaves out keep their defaults."""
+        return cls(
+            label=label,
+            metrics=MetricsCollector.from_state(fingerprint["metrics"]),
+            sim_counters=fingerprint["sim"],
+            **{key: fingerprint[key] for key in _RESTORED},
+        )
 
     def summary(self) -> Dict[str, Any]:
         """The headline figures, rounded for printing."""
+        headline = self.metrics.headline()
         return {
             "label": self.label,
             "jobs": self.jobs_finished,
-            "hit_ratio": round(self.metrics.hit_ratio(), 4),
-            "byte_hit_ratio": round(self.metrics.byte_hit_ratio(), 4),
-            "task_hours": round(self.metrics.total_task_seconds() / 3600.0, 2),
+            "hit_ratio": round(headline["hit_ratio"], 4),
+            "byte_hit_ratio": round(headline["byte_hit_ratio"], 4),
+            "task_hours": round(headline["task_seconds"] / 3600.0, 2),
         }
 
 

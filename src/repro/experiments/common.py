@@ -8,9 +8,9 @@ trade fidelity for speed (CI runs use ``scale < 1``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.engine.runner import SystemConfig
+from repro.engine.runner import RunResult, SystemConfig
 from repro.workload.jobs import Trace
 from repro.workload.profiles import PROFILES, WorkloadProfile, scaled_profile
 from repro.workload.synthesis import synthesize_trace
@@ -83,53 +83,19 @@ def standard_configs(
     ]
 
 
-class RowMetrics:
-    """The :class:`~repro.engine.metrics.MetricsCollector` read surface
-    the experiment renderers use, backed by a sweep worker row."""
-
-    def __init__(self, row: Dict[str, object]):
-        self._row = row
-
-    def hit_ratio(self) -> float:
-        return float(self._row["hit_ratio"])
-
-    def byte_hit_ratio(self) -> float:
-        return float(self._row["byte_hit_ratio"])
-
-    def total_task_seconds(self) -> float:
-        return float(self._row["task_hours"]) * 3600.0
-
-
-class RowResult:
-    """RunResult-shaped view over a sweep worker row.
-
-    Lets experiments fan their runs across the sweep orchestrator
-    (``--jobs N``) while keeping their renderers unchanged: the row's
-    deterministic metrics are bit-identical to an in-process run (only
-    ratio/task-hour rounding in the row — finer than any renderer's
-    display precision — differs).
-    """
-
-    def __init__(self, row: Dict[str, object], label: str):
-        self.row = dict(row)
-        self.label = label
-        self.jobs_submitted = row["jobs_submitted"]
-        self.jobs_finished = row["jobs_finished"]
-        self.deletions_applied = row["deletions_applied"]
-        self.transfers_committed = row["transfers_committed"]
-        self.metrics = RowMetrics(self.row)
-
-
 def run_labelled_cells(labelled_cells, jobs: int):
     """Run ``(label, cell)`` pairs through the sweep orchestrator.
 
-    Returns one :class:`RowResult` per pair, in order; a failed cell
-    raises (see :func:`repro.sweep.run_rows`).
+    Returns one :class:`RunResult` per pair, in order, rebuilt from the
+    cell's fingerprint; a failed cell raises (see :func:`repro.sweep.run_rows`).
     """
     from repro.sweep import run_rows
 
-    rows = run_rows([cell for _, cell in labelled_cells], jobs)
-    return [RowResult(row, label) for (label, _), row in zip(labelled_cells, rows)]
+    outcomes = run_rows([cell for _, cell in labelled_cells], jobs)
+    return [
+        RunResult.from_fingerprint(fingerprint, label)
+        for (label, _), (_, fingerprint) in zip(labelled_cells, outcomes)
+    ]
 
 
 def format_table(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.presets import PRESETS, preset_for_scenario
-from repro.experiments.common import RowResult, format_table, run_labelled_cells
+from repro.experiments.common import RunResult, format_table, run_labelled_cells
 from repro.experiments.scenarios import _scenario_scale
 
 
@@ -26,8 +26,8 @@ class PresetDelta:
     """Default-vs-preset figures for one scenario."""
 
     scenario: str
-    default: RowResult
-    preset: RowResult
+    default: RunResult
+    preset: RunResult
     conf: Dict[str, object]
 
     @property

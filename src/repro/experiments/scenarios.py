@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.common import RowResult, format_table, run_labelled_cells
+from repro.experiments.common import RunResult, format_table, run_labelled_cells
 from repro.workload.scenarios import scenario_names
 
 #: Replay scale per scenario kind: the classic traces are dense, the
@@ -40,7 +40,7 @@ def run_scenarios(
     seed: int = 42,
     workers: int = 11,
     jobs: int = 1,
-) -> Dict[str, List[RowResult]]:
+) -> Dict[str, List[RunResult]]:
     """Replay every registered scenario under each policy configuration.
 
     Each (scenario × configuration) pair is one sweep cell; ``jobs > 1``
@@ -75,7 +75,7 @@ def run_scenarios(
     }
 
 
-def render_scenarios(results: Dict[str, List[RowResult]]) -> str:
+def render_scenarios(results: Dict[str, List[RunResult]]) -> str:
     """One table row per (scenario, configuration) run."""
     rows = []
     for name, runs in results.items():

@@ -66,35 +66,23 @@ def json_safe(value: Any) -> Any:
 def result_to_dict(result: RunResult) -> Dict[str, Any]:
     """A JSON-safe dict projection of a :class:`RunResult`.
 
-    This is the ``run`` section of ``GET /metrics``: the run-level
-    counters an operator watches (submission/completion, hit ratios,
-    pump lead, per-tier queue delay, I/O contention), with open-ended
-    durations already ``None`` (see :attr:`RunResult.duration`).
+    This is the ``run`` section of ``GET /metrics``: the run's exact
+    :meth:`~RunResult.fingerprint` plus label, duration, pump lead and
+    live transport counters, with open-ended durations already ``None``
+    (see :attr:`RunResult.duration`).
     """
-    metrics = result.metrics
     return json_safe(
         {
             "label": result.label,
             "duration": result.duration,
-            "elapsed": result.elapsed,
-            "jobs_submitted": result.jobs_submitted,
-            "jobs_finished": result.jobs_finished,
-            "deletions_applied": result.deletions_applied,
-            "hit_ratio": metrics.hit_ratio(),
-            "byte_hit_ratio": metrics.byte_hit_ratio(),
-            "task_seconds": metrics.total_task_seconds(),
-            "bytes_read": metrics.bytes_read,
-            "bytes_written": metrics.bytes_written,
+            **result.fingerprint(),
             "pump": {
                 "events": result.pump_events,
                 "lead_mean_seconds": result.pump_lead_mean_seconds,
                 "lead_max_seconds": result.pump_lead_max_seconds,
                 "late_events": result.pump_late_events,
             },
-            "queue_delay_by_tier": result.queue_delay_by_tier,
-            "io_stats": result.io_stats,
             "live_stats": result.live_stats,
-            "transfers_committed": result.transfers_committed,
         }
     )
 
@@ -397,16 +385,14 @@ class ServiceEngine:
     def metrics(self) -> Dict[str, Any]:
         """The ``GET /metrics`` body: service, engine, and run counters."""
         wall = time.time() - self.started_wall if self.started_wall else 0.0
-        return json_safe(
-            {
-                "status": self.status,
-                "uptime_wall_seconds": wall,
-                "sim_now": self.runner.sim.now(),
-                "tenants": self.registry.counts(),
-                "engine": self.engine_stats(),
-                "run": result_to_dict(self.snapshot()),
-            }
-        )
+        return {
+            "status": self.status,
+            "uptime_wall_seconds": wall,
+            "sim_now": self.runner.sim.now(),
+            "tenants": self.registry.counts(),
+            "engine": self.engine_stats(),
+            "run": result_to_dict(self.snapshot()),
+        }
 
     def prometheus(self) -> str:
         """The ``GET /metrics?format=prometheus`` body (text exposition)."""
@@ -414,10 +400,7 @@ class ServiceEngine:
 
         tenants = []
         for tenant in self.registry.list():
-            row = tenant.as_dict()
-            row["hit_ratio"] = tenant.collector.hit_ratio()
-            row["bytes_read"] = tenant.collector.bytes_read
-            tenants.append(row)
+            tenants.append({**tenant.as_dict(), **tenant.collector.headline()})
         return prometheus_text(
             self.engine_stats(), tenants=tenants, status=self.status
         )

@@ -79,19 +79,12 @@ class ResultsLog:
         ``final=True`` marks the engine-shutdown pass, whose metrics are
         complete (every buffered event has been replayed by then).
         """
-        collector = tenant.collector
         record = {
             "wall": time.time(),
             "admitted": tenant.admitted_wall,
             "final": final,
             "tenant": tenant.as_dict(),
-            "metrics": {
-                "hit_ratio": collector.hit_ratio(),
-                "byte_hit_ratio": collector.byte_hit_ratio(),
-                "task_seconds": collector.total_task_seconds(),
-                "bytes_read": collector.bytes_read,
-                "bytes_written": collector.bytes_written,
-            },
+            "metrics": tenant.collector.headline(),
         }
         self.append(record)
         return record

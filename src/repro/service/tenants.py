@@ -104,12 +104,8 @@ class Tenant:
         return {
             "tenant": self.as_dict(),
             "jobs_finished": collector.jobs_completed,
-            "hit_ratio": collector.hit_ratio(),
-            "byte_hit_ratio": collector.byte_hit_ratio(),
-            "task_seconds": collector.total_task_seconds(),
-            "bytes_read": collector.bytes_read,
+            **collector.headline(),
             "bytes_read_memory": collector.bytes_read_memory,
-            "bytes_written": collector.bytes_written,
             "mean_completion_times": collector.mean_completion_times(),
         }
 

@@ -35,7 +35,7 @@ import os
 import tempfile
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sweep.spec import Cell, SweepSpec
 from repro.sweep.store import SweepStore
@@ -197,8 +197,9 @@ def run_cells(
     return payloads
 
 
-def run_rows(cells: Sequence[Cell], jobs: int) -> List[Dict[str, Any]]:
-    """Run ``cells`` in a throwaway store; returns their rows in order.
+def run_rows(cells: Sequence[Cell], jobs: int) -> List[Tuple[Dict, Dict]]:
+    """Run ``cells`` in a throwaway store; returns, in order, each cell's
+    row and the run's exact fingerprint stored beside it.
 
     Raises ``RuntimeError`` naming every cell that still failed after the
     bounded retry, so callers fail loudly rather than report a partial
@@ -212,7 +213,7 @@ def run_rows(cells: Sequence[Cell], jobs: int) -> List[Dict[str, Any]]:
             f"{len(bad)} cell(s) failed: "
             + "; ".join(f"{p['cell_id']}: {p['error']}" for p in bad)
         )
-    return [p["row"] for p in payloads]
+    return [(p["row"], p["fingerprint"]) for p in payloads]
 
 
 def run_sweep(

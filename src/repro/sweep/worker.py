@@ -7,7 +7,8 @@ system end to end, and returns a flat JSON-ready **row** — identity
 fields plus every deterministic simulated metric the benchmark scripts
 report, plus the host-dependent wall/throughput/RSS measurements
 (which :data:`repro.sweep.spec.HOST_KEYS` excludes from equivalence
-fingerprints).
+fingerprints).  Its simulated columns are rounded from the run's
+fingerprint, which the store payload keeps beside the row.
 
 Because the function is module-level and takes only a plain dict, it
 pickles under every multiprocessing start method; the orchestrator's
@@ -40,7 +41,7 @@ import os
 import signal
 import time
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.common.floats import fold_sum
 from repro.common.proc import current_rss_mb
@@ -140,6 +141,10 @@ def _system_config(cell: Mapping[str, Any], conf: Dict[str, Any]):
     return config
 
 
+#: Cell fields a row repeats as they are, after its kind, name and params.
+_IDENTITY = "engine tiers io_model workers scale seed placement downgrade upgrade"
+
+
 def run_cell(cell: Mapping[str, Any]) -> Dict[str, Any]:
     """Execute one cell and return its flat result row.
 
@@ -148,6 +153,11 @@ def run_cell(cell: Mapping[str, Any]) -> Dict[str, Any]:
     metric the benchmark scripts use, and the host-dependent
     ``runtime_seconds`` / ``events_per_second`` / ``rss_mb`` triple.
     """
+    return _run(cell)[0]
+
+
+def _run(cell: Mapping[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Execute one cell: its row and the run's exact fingerprint."""
     conf = dict(cell.get("conf") or {})
     _maybe_crash(cell, conf)
     system_conf = {
@@ -161,8 +171,9 @@ def run_cell(cell: Mapping[str, Any]) -> Dict[str, Any]:
     start = time.perf_counter()
     result = runner.run()
     wall = time.perf_counter() - start
-    sim = runner.sim
-    events = sim.events_processed
+    outcome = result.fingerprint()
+    counts = outcome["sim"]
+    events = counts["events_processed"]
     row: Dict[str, Any] = {
         # identity
         "kind": cell["kind"],
@@ -170,32 +181,26 @@ def run_cell(cell: Mapping[str, Any]) -> Dict[str, Any]:
             cell["workload"]
         ),
         "params": dict(cell["params"]),
-        "engine": cell["engine"],
-        "tiers": cell["tiers"],
-        "io_model": cell["io_model"],
-        "workers": cell["workers"],
-        "scale": cell["scale"],
-        "seed": cell["seed"],
-        "placement": cell["placement"],
-        "downgrade": cell["downgrade"],
-        "upgrade": cell["upgrade"],
+        **{key: cell[key] for key in _IDENTITY.split()},
         # simulated results (deterministic, exact-gated)
-        "jobs_submitted": result.jobs_submitted,
-        "jobs_finished": result.jobs_finished,
-        "deletions_applied": result.deletions_applied,
-        "hit_ratio": round(result.metrics.hit_ratio(), 6),
-        "byte_hit_ratio": round(result.metrics.byte_hit_ratio(), 6),
-        "task_hours": round(result.metrics.total_task_seconds() / 3600.0, 4),
-        "transfers_committed": result.transfers_committed,
+        "jobs_submitted": outcome["jobs_submitted"],
+        "jobs_finished": outcome["jobs_finished"],
+        "deletions_applied": outcome["deletions_applied"],
+        "hit_ratio": round(outcome["hit_ratio"], 6),
+        "byte_hit_ratio": round(outcome["byte_hit_ratio"], 6),
+        "task_hours": round(outcome["task_seconds"] / 3600.0, 4),
+        "transfers_committed": outcome["transfers_committed"],
         "events_processed": events,
-        "events_cancelled": sim.events_cancelled,
-        "heap_compactions": sim.heap_compactions,
-        "max_heap_size": sim.max_heap_size,
-        "live_pending_at_end": sim.pending,
+        "events_cancelled": counts["events_cancelled"],
+        "heap_compactions": counts["heap_compactions"],
+        "max_heap_size": counts["heap_peak"],
+        "live_pending_at_end": runner.sim.pending,
         "pump_lead_mean_seconds": round(result.pump_lead_mean_seconds, 3),
         "pump_lead_max_seconds": round(result.pump_lead_max_seconds, 3),
         "pump_late_events": result.pump_late_events,
-        "queue_delay_seconds": round(fold_sum(result.queue_delay_by_tier.values()), 3),
+        "queue_delay_seconds": round(
+            fold_sum(outcome["queue_delay_by_tier"].values()), 3
+        ),
         # host measurements (informational; never fingerprinted)
         "runtime_seconds": round(wall, 3),
         "events_per_second": round(events / wall, 1) if wall > 0 else 0.0,
@@ -211,30 +216,34 @@ def run_cell(cell: Mapping[str, Any]) -> Dict[str, Any]:
         )
         for tier_name, peak in sorted(timeseries.peak_utilization().items()):
             row[f"ts_peak_util_{tier_name}"] = peak
-    io_stats = result.io_stats
+    io_stats = outcome["io_stats"]
     if io_stats.get("model") == "fairshare":
         row["flow_recomputes"] = io_stats["recomputes"]
         row["max_component"] = io_stats["max_component"]
         row["vector_solves"] = io_stats["vector_solves"]
         row["peak_concurrency"] = io_stats["peak_concurrency"]
-    return row
+    return row, outcome
 
 
-def _payload(
-    cell_id: str,
-    config: Mapping[str, Any],
-    row: Optional[Dict[str, Any]],
-    error: Optional[Exception],
-) -> Dict[str, Any]:
-    """The store payload of one attempt: its row, or the error that ended it."""
-    return {
+def _attempt(cell_id: str, config: Mapping[str, Any], store) -> Dict[str, Any]:
+    """Run one cell and persist the payload of the attempt: its row and
+    the run's fingerprint beside it, or the error that ended it."""
+    row = fingerprint = error = None
+    try:
+        row, fingerprint = _run(config)
+    except Exception as exc:  # deliberate: the payload carries the error
+        error = f"{type(exc).__name__}: {exc}"
+    payload = {
         "cell_id": cell_id,
         "cell": dict(config),
         "status": "ok" if error is None else "failed",
         "attempts": 1,
-        "error": None if error is None else f"{type(error).__name__}: {error}",
+        "error": error,
         "row": row,
+        "fingerprint": fingerprint,
     }
+    store.write_cell(payload)
+    return payload
 
 
 def child_main(cell: Mapping[str, Any], store_root: str, name: str) -> int:
@@ -247,25 +256,10 @@ def child_main(cell: Mapping[str, Any], store_root: str, name: str) -> int:
     """
     from repro.sweep.store import SweepStore
 
-    store = SweepStore(store_root, name)
-    cell_id = cell_id_of(cell)
-    try:
-        row = run_cell(cell)
-    except Exception as exc:  # deliberate: the payload carries the error
-        payload = _payload(cell_id, cell, None, exc)
-    else:
-        payload = _payload(cell_id, cell, row, None)
-    store.write_cell(payload)
+    payload = _attempt(cell_id_of(cell), cell, SweepStore(store_root, name))
     return 0 if payload["status"] == "ok" else 1
 
 
 def execute_cell(cell, store) -> Dict[str, Any]:
     """In-process execution (the serial path): run, persist, return payload."""
-    try:
-        row = run_cell(cell.config)
-    except Exception as exc:
-        payload = _payload(cell.cell_id, cell.config, None, exc)
-    else:
-        payload = _payload(cell.cell_id, cell.config, row, None)
-    store.write_cell(payload)
-    return payload
+    return _attempt(cell.cell_id, cell.config, store)

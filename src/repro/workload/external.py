@@ -21,8 +21,8 @@ Conveniences applied during ingestion, for both formats (shared with
 live replay, :mod:`repro.workload.live`):
 
 * events must be time-ordered (a decreasing timestamp raises
-  :class:`~repro.workload.streams.StreamOrderError`, naming the file and,
-  for JSONL, the line);
+  :class:`~repro.workload.streams.StreamOrderError`, naming the file and
+  the line);
 * job ids are assigned sequentially when omitted;
 * a job's ``input_bytes``, when omitted or zero, is inferred from the
   sizes of previously created files it reads (O(files) state).
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.workload.jobs import (
     FileCreation,
@@ -77,41 +77,47 @@ def iter_csv_events(path: str) -> Iterator[StreamEvent]:
 
 
 def _csv_events(reader: csv.DictReader, path: str) -> Iterator[StreamEvent]:
-    """Decode the rows of ``reader``; bad rows are named ``path:row``."""
-    for row_no, row in enumerate(reader, start=2):
-        kind = (row.get("kind") or "").strip()
-        try:
-            time = float(row["time"])
-            if kind == "create":
-                yield FileCreation(row["path"], int(float(row["bytes"])), time)
-            elif kind == "delete":
-                yield FileDeletion(row["path"], time)
-            elif kind == "job":
-                inputs = [
-                    p.strip()
-                    for p in (row.get("inputs") or "").split(";")
-                    if p.strip()
-                ]
-                outputs = []
-                if (row.get("output_path") or "").strip():
-                    outputs.append(
-                        OutputSpec(
-                            row["output_path"].strip(),
-                            int(float(row.get("output_bytes") or 0)),
-                        )
-                    )
-                yield TraceJob(
-                    job_id=-1,
-                    submit_time=time,
-                    input_paths=inputs,
-                    input_size=int(float(row.get("bytes") or 0)),
-                    outputs=outputs,
-                    cpu_seconds_per_byte=float(row.get("cpu_seconds_per_byte") or 0.0),
-                )
-            else:
-                raise ValueError(f"unknown event kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{row_no}: bad trace row: {exc}") from exc
+    """Decode the rows of ``reader``.  Errors read as the JSONL reader's
+    do, ``<path>: <problem> at line N``, N being the physical line the
+    row ends on (a quoted newline counts)."""
+    lines = reader.reader  # DictReader.line_num lags behind on a csv.Error
+    try:
+        for row in reader:
+            try:
+                yield _csv_event(row)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: bad record at line {lines.line_num}: {exc}"
+                ) from exc
+    except csv.Error as exc:
+        raise ValueError(
+            f"{path}: corrupt record at line {lines.line_num}: {exc}"
+        ) from exc
+
+
+def _csv_event(row: Dict[str, str]) -> StreamEvent:
+    """The event of one CSV row."""
+    kind = (row.get("kind") or "").strip()
+    time = float(row["time"])
+    if kind == "create":
+        return FileCreation(row["path"], int(float(row["bytes"])), time)
+    if kind == "delete":
+        return FileDeletion(row["path"], time)
+    if kind != "job":
+        raise ValueError(f"unknown event kind {kind!r}")
+    inputs = [p.strip() for p in (row.get("inputs") or "").split(";") if p.strip()]
+    outputs = []
+    if (row.get("output_path") or "").strip():
+        size = int(float(row.get("output_bytes") or 0))
+        outputs.append(OutputSpec(row["output_path"].strip(), size))
+    return TraceJob(
+        job_id=-1,
+        submit_time=time,
+        input_paths=inputs,
+        input_size=int(float(row.get("bytes") or 0)),
+        outputs=outputs,
+        cpu_seconds_per_byte=float(row.get("cpu_seconds_per_byte") or 0.0),
+    )
 
 
 class ExternalTraceStream(WorkloadStream):

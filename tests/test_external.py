@@ -100,8 +100,37 @@ class TestCsvIngestion:
 
     def test_bad_kind_rejected(self, tmp_path):
         path = write_csv(tmp_path, "kind,time,path,bytes\nmunge,1.0,/a,5\n", "bad.csv")
-        with pytest.raises(ValueError, match="bad.csv:2"):
+        with pytest.raises(ValueError, match="bad.csv: bad record at line 2: "):
             list(iter_csv_events(path))
+
+    def test_bad_row_named_by_physical_line(self, tmp_path):
+        # The quoted newline in /a's path puts the bad row on line 4.
+        text = 'time,kind,path,bytes\n0,create,"/a\nb",10\n1,bogus,/b,10\n'
+        path = write_csv(tmp_path, text, "q.csv")
+        expected = f"{path}: bad record at line 4: unknown event kind 'bogus'"
+        for decode in (iter_csv_events, ExternalTraceStream):
+            with pytest.raises(ValueError) as caught:
+                list(decode(path))
+            assert str(caught.value) == expected
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_oversized_field_names_path_and_line(self, tmp_path, quoted):
+        # A field past the csv module's limit (131072 characters) fails
+        # as a ValueError naming the file and the line it ends on.
+        field = "/a" + "x" * 140000
+        if quoted:
+            field = f'"/b\n{field}"'
+        text = f"time,kind,path,bytes\n0,create,/c,1\n1,create,{field},1\n"
+        path = write_csv(tmp_path, text, "big.csv")
+        line = 4 if quoted else 3
+        expected = (
+            f"{path}: corrupt record at line {line}: "
+            "field larger than field limit (131072)"
+        )
+        for decode in (iter_csv_events, ExternalTraceStream):
+            with pytest.raises(ValueError) as caught:
+                list(decode(path))
+            assert str(caught.value) == expected
 
     def test_out_of_order_rejected(self, tmp_path):
         # The error names the file and the physical line, as every error

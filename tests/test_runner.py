@@ -194,6 +194,7 @@ class TestFingerprint:
         "bins",
         "io_stats",
         "sim",
+        "metrics",
     }
     SIM_KEYS = {
         "events_processed",

@@ -10,8 +10,9 @@ the two are timed in pairs whose run order alternates.
 A pair replays the same inputs on both revisions.  Only
 ``WorkloadRunner.run()`` is timed; building the input and the runner is
 not.  Every input's outcome fingerprint (``RunResult.fingerprint()``)
-must be identical between the revisions, or the tool stops: a speedup
-that moves a simulated value is not a speedup.  Under the XGB policies
+must be identical between the revisions, or the tool stops, naming per
+input the top-level fingerprint keys that differ: a speedup that moves
+a simulated value is not a speedup.  Under the XGB policies
 the two final access models (``model_to_dict``) must hash the same too,
 so a learner change that alters one tree stops the tool even when the
 run's outcome matches.  A revision whose ``RunResult`` has no
@@ -164,6 +165,16 @@ class Revision:
         return seconds, result.fingerprint(), models
 
 
+def differing(a, b) -> str:
+    """What differs between two outcomes of one input: the names of the
+    top-level fingerprint keys that differ, or both model hashes."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return f"A {a}, B {b}"
+    absent = object()
+    keys = [k for k in {**a, **b} if a.get(k, absent) != b.get(k, absent)]
+    return "keys " + ", ".join(keys)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -208,8 +219,12 @@ def main(argv=None) -> int:
             for what, outcomes in (("fingerprints", fingerprints), ("models", models)):
                 if outcomes["A"] != outcomes["B"]:
                     print(f"pair {pair}: {what} differ", file=sys.stderr)
-                    print(f"  A: {outcomes['A']}", file=sys.stderr)
-                    print(f"  B: {outcomes['B']}", file=sys.stderr)
+                    for seed, a, b in zip(seeds, outcomes["A"], outcomes["B"]):
+                        if a != b:
+                            print(
+                                f"  input seed {seed}: {differing(a, b)}",
+                                file=sys.stderr,
+                            )
                     return 1
             ratio = seconds["B"] / seconds["A"]
             ratios.append(ratio)
